@@ -83,16 +83,19 @@ Status UniMatchEngine::RebuildIndexes() {
   std::vector<std::vector<int64_t>> histories(splits_.histories.begin(),
                                               splits_.histories.end());
   user_embeddings_ = model_->InferUserEmbeddings(histories);
-  item_index_ = MakeConfiguredIndex();
-  user_index_ = MakeConfiguredIndex();
-  UNIMATCH_RETURN_IF_ERROR(item_index_->Build(item_embeddings_));
-  UNIMATCH_RETURN_IF_ERROR(user_index_->Build(user_embeddings_));
+  std::unique_ptr<ann::Index> item_index = MakeConfiguredIndex();
+  std::unique_ptr<ann::Index> user_index = MakeConfiguredIndex();
+  UNIMATCH_RETURN_IF_ERROR(item_index->Build(item_embeddings_));
+  UNIMATCH_RETURN_IF_ERROR(user_index->Build(user_embeddings_));
+  item_index_ = std::move(item_index);
+  user_index_ = std::move(user_index);
   return Status::OK();
 }
 
 Result<std::vector<Scored>> UniMatchEngine::RecommendItems(data::UserId user,
                                                            int n) const {
   if (!fitted_) return Status::FailedPrecondition("engine not fitted");
+  if (n <= 0) return Status::InvalidArgument("n must be positive");
   if (user < 0 || user >= static_cast<data::UserId>(splits_.histories.size())) {
     return Status::NotFound("unknown user id");
   }
@@ -113,6 +116,7 @@ Result<std::vector<Scored>> UniMatchEngine::RecommendItems(data::UserId user,
 Result<std::vector<Scored>> UniMatchEngine::RecommendItemsForHistory(
     const std::vector<data::ItemId>& history, int n) const {
   if (!fitted_) return Status::FailedPrecondition("engine not fitted");
+  if (n <= 0) return Status::InvalidArgument("n must be positive");
   if (history.empty()) {
     return Status::InvalidArgument("history must be non-empty");
   }
@@ -132,6 +136,7 @@ Result<std::vector<Scored>> UniMatchEngine::RecommendItemsForHistory(
 Result<std::vector<Scored>> UniMatchEngine::TargetUsers(data::ItemId item,
                                                         int n) const {
   if (!fitted_) return Status::FailedPrecondition("engine not fitted");
+  if (n <= 0) return Status::InvalidArgument("n must be positive");
   if (item < 0 || item >= model_->config().num_items) {
     return Status::NotFound("unknown item id");
   }

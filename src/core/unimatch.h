@@ -64,7 +64,8 @@ class UniMatchEngine {
   /// production pattern: call monthly with the refreshed log).
   Status FitIncrementalMonth(const data::InteractionLog& log, int32_t month);
 
-  /// IR for a known user id (history taken from the fitted log).
+  /// IR for a known user id (history taken from the fitted log). `n` must
+  /// be positive, as for every query below.
   Result<std::vector<Scored>> RecommendItems(data::UserId user, int n) const;
 
   /// IR for an ad-hoc behavior sequence (anonymous / cold-start flows).
@@ -88,10 +89,21 @@ class UniMatchEngine {
   const Tensor& item_embeddings() const { return item_embeddings_; }
   const Tensor& user_embeddings() const { return user_embeddings_; }
 
+  /// The serving indexes over item_embeddings() / user_embeddings() (valid
+  /// after Fit). Every rebuild replaces both with new objects and never
+  /// mutates a built one, so a holder such as a published
+  /// serving::EngineSnapshot keeps its generation alive and unchanged.
+  const std::shared_ptr<const ann::Index>& item_index() const {
+    return item_index_;
+  }
+  const std::shared_ptr<const ann::Index>& user_index() const {
+    return user_index_;
+  }
+
   /// A fresh, empty index of the configured kind (`EngineConfig::index`).
-  /// Snapshot construction (serving::EngineSnapshot) uses this to build
-  /// indexes it owns independently of the engine's own serving indexes,
-  /// so a later FitIncrementalMonth cannot invalidate a published snapshot.
+  /// The engine builds its two serving indexes with it once per model
+  /// generation; serving::EngineSnapshot::FromEngine shares those instead
+  /// of building its own.
   std::unique_ptr<ann::Index> MakeConfiguredIndex() const;
 
  private:
@@ -104,8 +116,8 @@ class UniMatchEngine {
   std::unique_ptr<train::Trainer> trainer_;
   Tensor item_embeddings_;
   Tensor user_embeddings_;
-  std::unique_ptr<ann::Index> item_index_;
-  std::unique_ptr<ann::Index> user_index_;
+  std::shared_ptr<const ann::Index> item_index_;
+  std::shared_ptr<const ann::Index> user_index_;
 };
 
 }  // namespace unimatch::core

@@ -75,10 +75,7 @@ nn::Variable NceFamilyLoss(const nn::Variable& scores, const Tensor& log_pu,
     nn::Variable row_logits = scores;
     if (settings.delta_alpha) {
       // h(u, i') = exp(phi(u, i') - log p(i')): subtract column item's
-      // log-marginal from every row. Negation runs as a recorded ScalarMul
-      // over a Constant that shares the caller's tensor storage, so a
-      // program-bound log_pi refreshes it on replay (the arithmetic is the
-      // same clone-and-scale as before).
+      // log-marginal from every row.
       row_logits = nn::AddRowVector(
           row_logits, nn::ScalarMul(nn::Constant(log_pi), -1.0f));
     }
@@ -91,7 +88,7 @@ nn::Variable NceFamilyLoss(const nn::Variable& scores, const Tensor& log_pu,
     nn::Variable col_logits = scores;
     if (settings.delta_beta) {
       // o(u', i) = exp(phi(u', i) - log p(u')): subtract row user's
-      // log-marginal from every column (recorded negation, see above).
+      // log-marginal from every column.
       col_logits = nn::AddColVector(
           col_logits, nn::ScalarMul(nn::Constant(log_pu), -1.0f));
     }
@@ -118,10 +115,6 @@ nn::Variable SampledSoftmaxLoss(const nn::Variable& pos_scores,
   UM_CHECK_SHAPE(log_q_neg.numel() == s, neg_scores, log_q_neg)
       << "SampledSoftmaxLoss negative proposal log-probs";
 
-  // The proposal log-prob corrections run as recorded ops over Constants
-  // that share the callers' tensor storage, so program-bound q tensors
-  // refresh them on replay; the arithmetic (clone, scale by -1, reshape)
-  // is unchanged.
   nn::Variable pos_adj = nn::Reshape(
       nn::Add(pos_scores,
               nn::Reshape(nn::ScalarMul(nn::Constant(log_q_pos), -1.0f), {b})),

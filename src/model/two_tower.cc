@@ -200,57 +200,11 @@ nn::Variable TwoTowerModel::ScorePairs(const nn::Variable& users,
   return nn::ScalarMul(nn::RowwiseDot(u, i), 1.0f / config_.temperature);
 }
 
-void TwoTowerModel::SetInferenceProgramMode(bool use_cache, bool fuse) {
-  MutexLock lock(&infer_mu_);
-  infer_use_programs_ = use_cache;
-  infer_fuse_ = fuse;
-}
-
-Tensor TwoTowerModel::InferUserSliceLocked(const std::vector<int64_t>& ids,
-                                           const std::vector<int64_t>& lengths,
-                                           int64_t max_len) const {
-  const int64_t bsz = static_cast<int64_t>(lengths.size());
-  if (!nn::kProgramCacheEnabled || !infer_use_programs_) {
-    return Normalize(EncodeUsers(ids, lengths)).value();
-  }
-  // Extractor/aggregator/l2 are fixed per model, but the fusion toggle is
-  // not — keying on it keeps the bench's fused/unfused arms from sharing
-  // entries.
-  const nn::ProgramKey key = nn::ProgramKey::Make(
-      "infer.user", {bsz, max_len, static_cast<int64_t>(config_.extractor),
-                     static_cast<int64_t>(config_.aggregator),
-                     config_.num_extractor_layers, config_.l2_normalize ? 1 : 0,
-                     infer_fuse_ ? 1 : 0});
-  std::shared_ptr<nn::Program> program = infer_programs_.Lookup(key);
-  if (program != nullptr && program->replayable()) {
-    program->BindIds("infer.ids", ids);
-    program->BindIds("infer.len", lengths);
-    program->ReplayForward();
-    return program->root_value();
-  }
-  if (program != nullptr) {
-    // Tombstone: this shape's recording hit a non-replayable op (extractor /
-    // attention ops the recorder cannot replay yet) — stay on the tape.
-    return Normalize(EncodeUsers(ids, lengths)).value();
-  }
-  nn::ProgramRecorder recorder;
-  const std::vector<int64_t>& ids_slot = recorder.BindIds("infer.ids", ids);
-  const std::vector<int64_t>& len_slot = recorder.BindIds("infer.len", lengths);
-  nn::Variable emb = Normalize(EncodeUsers(ids_slot, len_slot));
-  program = recorder.FinishForward(emb);
-  if (program->replayable() && infer_fuse_) program->FuseForInference();
-  infer_programs_.Insert(key, std::move(program));
-  return emb.value();
-}
-
 Tensor TwoTowerModel::InferUserEmbeddings(
     const std::vector<std::vector<int64_t>>& histories, int64_t batch) const {
   const int64_t n = static_cast<int64_t>(histories.size());
   const int64_t d = config_.embedding_dim;
   Tensor out({n, d});
-  // Held across all slices: replay rewrites program-owned buffers in place,
-  // and the per-slice copy-out below reads them.
-  MutexLock lock(&infer_mu_);
   for (int64_t begin = 0; begin < n; begin += batch) {
     const int64_t end = std::min(n, begin + batch);
     // Collect the non-empty rows of this slice.
@@ -272,7 +226,7 @@ Tensor TwoTowerModel::InferUserEmbeddings(
       lengths[k] = static_cast<int64_t>(h.size());
       std::copy(h.begin(), h.end(), ids.begin() + k * max_len);
     }
-    const Tensor emb = InferUserSliceLocked(ids, lengths, max_len);
+    const Tensor emb = Normalize(EncodeUsers(ids, lengths)).value();
     for (int64_t k = 0; k < bsz; ++k) {
       const float* src = emb.data() + k * d;
       std::copy(src, src + d, out.data() + rows[k] * d);
@@ -284,34 +238,9 @@ Tensor TwoTowerModel::InferUserEmbeddings(
 Tensor TwoTowerModel::InferItemEmbeddings() const {
   std::vector<int64_t> ids(config_.num_items);
   for (int64_t i = 0; i < config_.num_items; ++i) ids[i] = i;
-  MutexLock lock(&infer_mu_);
-  if (!nn::kProgramCacheEnabled || !infer_use_programs_) {
-    nn::Variable emb = Normalize(EncodeItems(ids));
-    // Tensors are refcounted handles: returning the value aliases the
-    // encoder output instead of copying the whole [num_items, d] matrix.
-    return emb.value();
-  }
-  const nn::ProgramKey key = nn::ProgramKey::Make(
-      "infer.items", {config_.num_items, config_.l2_normalize ? 1 : 0,
-                      infer_fuse_ ? 1 : 0});
-  std::shared_ptr<nn::Program> program = infer_programs_.Lookup(key);
-  if (program != nullptr && program->replayable()) {
-    program->BindIds("infer.item_ids", ids);
-    program->ReplayForward();
-    // Clone: the program keeps (and next replay rewrites) its own buffer.
-    return program->root_value().Clone();
-  }
-  if (program != nullptr) {
-    return Normalize(EncodeItems(ids)).value();
-  }
-  nn::ProgramRecorder recorder;
-  const std::vector<int64_t>& ids_slot =
-      recorder.BindIds("infer.item_ids", ids);
-  nn::Variable emb = Normalize(EncodeItems(ids_slot));
-  program = recorder.FinishForward(emb);
-  if (program->replayable() && infer_fuse_) program->FuseForInference();
-  infer_programs_.Insert(key, std::move(program));
-  return emb.value().Clone();
+  // Tensors are refcounted handles: returning the value aliases the
+  // encoder output instead of copying the whole [num_items, d] matrix.
+  return Normalize(EncodeItems(ids)).value();
 }
 
 }  // namespace unimatch::model

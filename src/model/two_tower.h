@@ -20,10 +20,8 @@
 #include "src/nn/conv.h"
 #include "src/nn/module.h"
 #include "src/nn/ops.h"
-#include "src/nn/program.h"
 #include "src/nn/rnn.h"
 #include "src/nn/seq_ops.h"
-#include "src/util/mutex.h"
 #include "src/util/status.h"
 
 namespace unimatch::model {
@@ -118,27 +116,9 @@ class TwoTowerModel : public nn::Module {
   /// Normalized embeddings of every item in the catalog, [num_items, d].
   Tensor InferItemEmbeddings() const;
 
-  /// Bench/test hook: toggles the inference program cache and the fusion
-  /// pass (both on by default). The tape arm (use_cache = false) is the
-  /// parity reference.
-  void SetInferenceProgramMode(bool use_cache, bool fuse);
-
-  /// Hit/miss/insert/evict counts of the inference program cache.
-  nn::ProgramCache::Stats infer_program_stats() const {
-    return infer_programs_.stats();
-  }
-
   const TwoTowerConfig& config() const { return config_; }
 
  private:
-  /// One InferUserEmbeddings slice through the program cache (or the tape
-  /// when caching is off / the shape's recording fell back). Caller holds
-  /// infer_mu_; the returned handle aliases program-owned storage, so rows
-  /// must be copied out before the lock is released.
-  Tensor InferUserSliceLocked(const std::vector<int64_t>& ids,
-                              const std::vector<int64_t>& lengths,
-                              int64_t max_len) const;
-
   TwoTowerConfig config_;
   nn::Variable item_embeddings_;  // [num_items, d] (item tower)
   /// User-tower lookup table: aliases item_embeddings_ when
@@ -149,15 +129,6 @@ class TwoTowerModel : public nn::Module {
   std::vector<std::unique_ptr<nn::Lstm>> lstm_;
   std::vector<std::unique_ptr<nn::TransformerLayer>> transformer_;
   std::unique_ptr<nn::AttentionPoolLayer> attention_pool_;
-
-  /// Shape-keyed recorded programs for the inference entry points, and the
-  /// mutex that serializes their replay (replay rewrites program-owned
-  /// buffers in place). Rank kProgramExec sits below the pool/obs ranks so
-  /// replayed closures may shard work and emit metrics while it is held.
-  mutable nn::ProgramCache infer_programs_;
-  mutable Mutex infer_mu_{lockrank::kProgramExec, "model.infer_exec"};
-  bool infer_use_programs_ = true;
-  bool infer_fuse_ = true;
 };
 
 }  // namespace unimatch::model

@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/nn/program.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/contract.h"
 #include "src/util/parallel.h"
-
-// Each op below is written in the compute-lambda idiom: the value math
-// lives in a closure that writes into a caller-provided output tensor *in
-// place*, the eager call runs that closure once, and — only when a
-// ProgramRecorder is active — detail::RecordedForward hands the same
-// closure to the recording so replay re-runs the exact arithmetic over the
-// retained node buffer. Closures read their inputs through the captured
-// Variables' nodes at call time, never through value snapshots.
 
 namespace unimatch::nn {
 
@@ -25,16 +16,12 @@ namespace {
 // backward multiplies the upstream grad by dfdx(x, y).
 template <typename Fwd, typename Dfdx>
 Variable UnaryElementwise(const Variable& a, Fwd fwd, Dfdx dfdx,
-                          const char* name,
-                          ProgramOpKind kind = ProgramOpKind::kOther) {
-  auto compute = [a, fwd](Tensor& out) {
-    const float* x = a.value().data();
-    float* y = out.data();
-    for (int64_t i = 0; i < a.numel(); ++i) y[i] = fwd(x[i]);
-  };
+                          const char* name) {
   Tensor out = Tensor::Empty(a.shape());
-  compute(out);
-  Variable v = MakeOpVariable(
+  const float* x = a.value().data();
+  float* y = out.data();
+  for (int64_t i = 0; i < a.numel(); ++i) y[i] = fwd(x[i]);
+  return MakeOpVariable(
       std::move(out), {a},
       [a, dfdx](VarNode& node) {
         Tensor gin = Tensor::Empty(a.shape());
@@ -45,40 +32,28 @@ Variable UnaryElementwise(const Variable& a, Fwd fwd, Dfdx dfdx,
         for (int64_t i = 0; i < a.numel(); ++i) gi[i] = g[i] * dfdx(x[i], y[i]);
         a.node()->AccumulateGrad(std::move(gin));
       },
-      name, detail::RecordedForward(compute));
-  if (kind != ProgramOpKind::kOther) {
-    detail::AnnotateOp(v, ProgramOpInfo{kind, 0.0f, nullptr, {a.node()}});
-  }
-  return v;
+      name);
 }
 
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
   UM_CHECK_SHAPE(a.value().same_shape(b.value()), a, b) << "Add";
-  auto compute = [a, b](Tensor& out) {
-    out.CopyFrom(a.value());
-    out.AddInPlace(b.value());
-  };
-  Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  Tensor out = a.value().Clone();
+  out.AddInPlace(b.value());
   return MakeOpVariable(
       std::move(out), {a, b},
       [a, b](VarNode& node) {
         a.node()->AccumulateGrad(node.grad);
         b.node()->AccumulateGrad(node.grad);
       },
-      "Add", detail::RecordedForward(compute));
+      "Add");
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   UM_CHECK_SHAPE(a.value().same_shape(b.value()), a, b) << "Sub";
-  auto compute = [a, b](Tensor& out) {
-    out.CopyFrom(a.value());
-    out.AddInPlace(b.value(), -1.0f);
-  };
-  Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  Tensor out = a.value().Clone();
+  out.AddInPlace(b.value(), -1.0f);
   return MakeOpVariable(
       std::move(out), {a, b},
       [a, b](VarNode& node) {
@@ -87,19 +62,16 @@ Variable Sub(const Variable& a, const Variable& b) {
         gneg.ScaleInPlace(-1.0f);
         b.node()->AccumulateGrad(std::move(gneg));
       },
-      "Sub", detail::RecordedForward(compute));
+      "Sub");
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   UM_CHECK_SHAPE(a.value().same_shape(b.value()), a, b) << "Mul";
-  auto compute = [a, b](Tensor& out) {
-    const float* x = a.value().data();
-    const float* z = b.value().data();
-    float* y = out.data();
-    for (int64_t i = 0; i < a.numel(); ++i) y[i] = x[i] * z[i];
-  };
   Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  const float* x = a.value().data();
+  const float* z = b.value().data();
+  float* y = out.data();
+  for (int64_t i = 0; i < a.numel(); ++i) y[i] = x[i] * z[i];
   return MakeOpVariable(
       std::move(out), {a, b},
       [a, b](VarNode& node) {
@@ -115,43 +87,32 @@ Variable Mul(const Variable& a, const Variable& b) {
         a.node()->AccumulateGrad(std::move(ga));
         b.node()->AccumulateGrad(std::move(gb));
       },
-      "Mul", detail::RecordedForward(compute));
+      "Mul");
 }
 
 Variable Neg(const Variable& a) { return ScalarMul(a, -1.0f); }
 
 Variable ScalarMul(const Variable& a, float s) {
-  auto compute = [a, s](Tensor& out) {
-    out.CopyFrom(a.value());
-    out.ScaleInPlace(s);
-  };
-  Tensor out = Tensor::Empty(a.shape());
-  compute(out);
-  Variable v = MakeOpVariable(
+  Tensor out = a.value().Clone();
+  out.ScaleInPlace(s);
+  return MakeOpVariable(
       std::move(out), {a},
       [a, s](VarNode& node) {
         Tensor g = node.grad.Clone();
         g.ScaleInPlace(s);
         a.node()->AccumulateGrad(std::move(g));
       },
-      "ScalarMul", detail::RecordedForward(compute));
-  detail::AnnotateOp(
-      v, ProgramOpInfo{ProgramOpKind::kScalarMul, s, nullptr, {a.node()}});
-  return v;
+      "ScalarMul");
 }
 
 Variable ScalarAdd(const Variable& a, float s) {
-  auto compute = [a, s](Tensor& out) {
-    out.CopyFrom(a.value());
-    float* y = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i) y[i] += s;
-  };
-  Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  Tensor out = a.value().Clone();
+  float* y = out.data();
+  for (int64_t i = 0; i < out.numel(); ++i) y[i] += s;
   return MakeOpVariable(
       std::move(out), {a},
       [a](VarNode& node) { a.node()->AccumulateGrad(node.grad); },
-      "ScalarAdd", detail::RecordedForward(compute));
+      "ScalarAdd");
 }
 
 Variable Sigmoid(const Variable& a) {
@@ -161,22 +122,19 @@ Variable Sigmoid(const Variable& a) {
         return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                          : std::exp(x) / (1.0f + std::exp(x));
       },
-      [](float, float y) { return y * (1.0f - y); }, "Sigmoid",
-      ProgramOpKind::kSigmoid);
+      [](float, float y) { return y * (1.0f - y); }, "Sigmoid");
 }
 
 Variable Tanh(const Variable& a) {
   return UnaryElementwise(
       a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; }, "Tanh",
-      ProgramOpKind::kTanh);
+      [](float, float y) { return 1.0f - y * y; }, "Tanh");
 }
 
 Variable Relu(const Variable& a) {
   return UnaryElementwise(
       a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }, "Relu",
-      ProgramOpKind::kRelu);
+      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }, "Relu");
 }
 
 Variable Exp(const Variable& a) {
@@ -192,51 +150,36 @@ Variable Log(const Variable& a) {
 }
 
 Variable Sum(const Variable& a) {
-  auto compute = [a](Tensor& out) {
-    out.data()[0] = static_cast<float>(a.value().Sum());
-  };
-  Tensor out = Tensor::Scalar(0.0f);
-  compute(out);
+  Tensor out = Tensor::Scalar(static_cast<float>(a.value().Sum()));
   return MakeOpVariable(
       std::move(out), {a},
       [a](VarNode& node) {
         const float g = node.grad.item();
         a.node()->AccumulateGrad(Tensor::Full(a.shape(), g));
       },
-      "Sum", detail::RecordedForward(compute));
+      "Sum");
 }
 
 Variable Mean(const Variable& a) {
   const float inv = 1.0f / static_cast<float>(a.numel());
-  auto compute = [a](Tensor& out) {
-    out.data()[0] = static_cast<float>(a.value().Mean());
-  };
-  Tensor out = Tensor::Scalar(0.0f);
-  compute(out);
+  Tensor out = Tensor::Scalar(static_cast<float>(a.value().Mean()));
   return MakeOpVariable(
       std::move(out), {a},
       [a, inv](VarNode& node) {
         const float g = node.grad.item() * inv;
         a.node()->AccumulateGrad(Tensor::Full(a.shape(), g));
       },
-      "Mean", detail::RecordedForward(compute));
+      "Mean");
 }
 
 Variable Reshape(const Variable& a, Shape shape) {
-  // Flat copy: same bytes as Clone().Reshaped(), and shape-agnostic so the
-  // replay closure can refill the retained output in place.
-  auto compute = [a](Tensor& out) {
-    std::copy(a.value().data(), a.value().data() + a.numel(), out.data());
-  };
-  Tensor out = Tensor::Empty(std::move(shape));
-  UM_CHECK_EQ(out.numel(), a.numel());
-  compute(out);
+  Tensor out = a.value().Clone().Reshaped(std::move(shape));
   return MakeOpVariable(
       std::move(out), {a},
       [a](VarNode& node) {
         a.node()->AccumulateGrad(node.grad.Reshaped(a.shape()));
       },
-      "Reshape", detail::RecordedForward(compute));
+      "Reshape");
 }
 
 Variable Transpose(const Variable& a) {
@@ -262,17 +205,14 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
   UM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2 && a.dim(0) == b.dim(0), a, b)
       << "ConcatCols";
   const int64_t m = a.dim(0), n1 = a.dim(1), n2 = b.dim(1);
-  auto compute = [a, b, m, n1, n2](Tensor& out) {
-    for (int64_t i = 0; i < m; ++i) {
-      const float* pa = a.value().data() + i * n1;
-      const float* pb = b.value().data() + i * n2;
-      float* po = out.data() + i * (n1 + n2);
-      std::copy(pa, pa + n1, po);
-      std::copy(pb, pb + n2, po + n1);
-    }
-  };
   Tensor out = Tensor::Empty({m, n1 + n2});
-  compute(out);
+  for (int64_t i = 0; i < m; ++i) {
+    const float* pa = a.value().data() + i * n1;
+    const float* pb = b.value().data() + i * n2;
+    float* po = out.data() + i * (n1 + n2);
+    std::copy(pa, pa + n1, po);
+    std::copy(pb, pb + n2, po + n1);
+  }
   return MakeOpVariable(
       std::move(out), {a, b},
       [a, b, m, n1, n2](VarNode& node) {
@@ -286,7 +226,7 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
         a.node()->AccumulateGrad(std::move(ga));
         b.node()->AccumulateGrad(std::move(gb));
       },
-      "ConcatCols", detail::RecordedForward(compute));
+      "ConcatCols");
 }
 
 Variable ConcatRows(const Variable& a, const Variable& b) {
@@ -320,23 +260,18 @@ Variable ConcatRowsN(const std::vector<Variable>& parts) {
         << "ConcatRowsN";
     rows += p.dim(0);
   }
-  std::vector<Variable> inputs = parts;
-  auto compute = [inputs, n](Tensor& out) {
-    int64_t offset = 0;
-    for (const auto& p : inputs) {
-      const int64_t cnt = p.dim(0) * n;
-      std::copy(p.value().data(), p.value().data() + cnt,
-                out.data() + offset);
-      offset += cnt;
-    }
-  };
   Tensor out = Tensor::Empty({rows, n});
-  compute(out);
+  int64_t offset = 0;
+  for (const auto& p : parts) {
+    const int64_t cnt = p.dim(0) * n;
+    std::copy(p.value().data(), p.value().data() + cnt, out.data() + offset);
+    offset += cnt;
+  }
   return MakeOpVariable(
-      std::move(out), inputs,
-      [inputs, n](VarNode& node) {
+      std::move(out), parts,
+      [parts, n](VarNode& node) {
         int64_t offset = 0;
-        for (const auto& p : inputs) {
+        for (const auto& p : parts) {
           const int64_t cnt = p.dim(0) * n;
           Tensor gp = Tensor::Empty(p.shape());
           std::copy(node.grad.data() + offset,
@@ -345,15 +280,12 @@ Variable ConcatRowsN(const std::vector<Variable>& parts) {
           offset += cnt;
         }
       },
-      "ConcatRowsN", detail::RecordedForward(compute));
+      "ConcatRowsN");
 }
 
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a,
                 bool trans_b) {
   Tensor out = unimatch::MatMul(a.value(), b.value(), trans_a, trans_b);
-  auto compute = [a, b, trans_a, trans_b](Tensor& out) {
-    unimatch::MatMulInto(a.value(), b.value(), trans_a, trans_b, &out);
-  };
   return MakeOpVariable(
       std::move(out), {a, b},
       [a, b, trans_a, trans_b](VarNode& node) {
@@ -376,27 +308,23 @@ Variable MatMul(const Variable& a, const Variable& b, bool trans_a,
         a.node()->AccumulateGrad(std::move(ga));
         b.node()->AccumulateGrad(std::move(gb));
       },
-      "MatMul", detail::RecordedForward(compute));
+      "MatMul");
 }
 
 Variable AddRowVector(const Variable& x, const Variable& v) {
   UM_CHECK_SHAPE(x.rank() == 2 && v.numel() == x.dim(1), x, v)
       << "AddRowVector";
   const int64_t m = x.dim(0), n = x.dim(1);
-  auto compute = [x, v, m, n](Tensor& out) {
-    out.CopyFrom(x.value());
-    RegionParallelFor(
-        0, m,
-        [&](int64_t i) {
-          float* row = out.data() + i * n;
-          const float* pv = v.value().data();
-          for (int64_t j = 0; j < n; ++j) row[j] += pv[j];
-        },
-        /*min_shard=*/32);
-  };
-  Tensor out = Tensor::Empty(x.shape());
-  compute(out);
-  Variable result = MakeOpVariable(
+  Tensor out = x.value().Clone();
+  RegionParallelFor(
+      0, m,
+      [&](int64_t i) {
+        float* row = out.data() + i * n;
+        const float* pv = v.value().data();
+        for (int64_t j = 0; j < n; ++j) row[j] += pv[j];
+      },
+      /*min_shard=*/32);
+  return MakeOpVariable(
       std::move(out), {x, v},
       [x, v, m, n](VarNode& node) {
         x.node()->AccumulateGrad(node.grad);
@@ -407,30 +335,22 @@ Variable AddRowVector(const Variable& x, const Variable& v) {
         ReduceSumCols(flat, &col_sums);
         v.node()->AccumulateGrad(col_sums.Reshaped(v.shape()));
       },
-      "AddRowVector", detail::RecordedForward(compute));
-  detail::AnnotateOp(result,
-                     ProgramOpInfo{ProgramOpKind::kAddRowVector, 0.0f, nullptr,
-                                   {x.node(), v.node()}});
-  return result;
+      "AddRowVector");
 }
 
 Variable AddColVector(const Variable& x, const Variable& v) {
   UM_CHECK_SHAPE(x.rank() == 2 && v.numel() == x.dim(0), x, v)
       << "AddColVector";
   const int64_t m = x.dim(0), n = x.dim(1);
-  auto compute = [x, v, m, n](Tensor& out) {
-    out.CopyFrom(x.value());
-    RegionParallelFor(
-        0, m,
-        [&](int64_t i) {
-          float* row = out.data() + i * n;
-          const float add = v.value().data()[i];
-          for (int64_t j = 0; j < n; ++j) row[j] += add;
-        },
-        /*min_shard=*/32);
-  };
-  Tensor out = Tensor::Empty(x.shape());
-  compute(out);
+  Tensor out = x.value().Clone();
+  RegionParallelFor(
+      0, m,
+      [&](int64_t i) {
+        float* row = out.data() + i * n;
+        const float add = v.value().data()[i];
+        for (int64_t j = 0; j < n; ++j) row[j] += add;
+      },
+      /*min_shard=*/32);
   return MakeOpVariable(
       std::move(out), {x, v},
       [x, v, m, n](VarNode& node) {
@@ -440,18 +360,15 @@ Variable AddColVector(const Variable& x, const Variable& v) {
         ReduceSumRows(flat, &row_sums);
         v.node()->AccumulateGrad(row_sums.Reshaped(v.shape()));
       },
-      "AddColVector", detail::RecordedForward(compute));
+      "AddColVector");
 }
 
 Variable TakeDiagonal(const Variable& a) {
   UM_CHECK_EQ(a.rank(), 2);
   UM_CHECK_EQ(a.dim(0), a.dim(1));
   const int64_t n = a.dim(0);
-  auto compute = [a, n](Tensor& out) {
-    for (int64_t i = 0; i < n; ++i) out.at(i) = a.value().at(i, i);
-  };
   Tensor out = Tensor::Empty({n});
-  compute(out);
+  for (int64_t i = 0; i < n; ++i) out.at(i) = a.value().at(i, i);
   return MakeOpVariable(
       std::move(out), {a},
       [a, n](VarNode& node) {
@@ -459,18 +376,15 @@ Variable TakeDiagonal(const Variable& a) {
         for (int64_t i = 0; i < n; ++i) g.at(i, i) = node.grad.at(i);
         a.node()->AccumulateGrad(std::move(g));
       },
-      "TakeDiagonal", detail::RecordedForward(compute));
+      "TakeDiagonal");
 }
 
 Variable TakeColumn(const Variable& a, int64_t j) {
   UM_CHECK_EQ(a.rank(), 2);
   UM_CHECK_LT(j, a.dim(1));
   const int64_t m = a.dim(0);
-  auto compute = [a, j, m](Tensor& out) {
-    for (int64_t i = 0; i < m; ++i) out.at(i) = a.value().at(i, j);
-  };
   Tensor out = Tensor::Empty({m});
-  compute(out);
+  for (int64_t i = 0; i < m; ++i) out.at(i) = a.value().at(i, j);
   return MakeOpVariable(
       std::move(out), {a},
       [a, j, m](VarNode& node) {
@@ -478,7 +392,7 @@ Variable TakeColumn(const Variable& a, int64_t j) {
         for (int64_t i = 0; i < m; ++i) g.at(i, j) = node.grad.at(i);
         a.node()->AccumulateGrad(std::move(g));
       },
-      "TakeColumn", detail::RecordedForward(compute));
+      "TakeColumn");
 }
 
 Variable RowwiseDot(const Variable& a, const Variable& b) {
@@ -486,15 +400,12 @@ Variable RowwiseDot(const Variable& a, const Variable& b) {
                              << contract::ShapeOf(a);
   UM_CHECK_SHAPE(a.value().same_shape(b.value()), a, b) << "RowwiseDot";
   const int64_t m = a.dim(0), d = a.dim(1);
-  auto compute = [a, b, m, d](Tensor& out) {
-    RegionParallelFor(0, m, [&](int64_t i) {
-      out.at(i) = kernels::DotF32(a.value().data() + i * d,
-                                  b.value().data() + i * d, d);
-    });
-  };
   Tensor out = Tensor::Empty({m});
-  compute(out);
-  Variable v = MakeOpVariable(
+  RegionParallelFor(0, m, [&](int64_t i) {
+    out.at(i) = kernels::DotF32(a.value().data() + i * d,
+                                b.value().data() + i * d, d);
+  });
+  return MakeOpVariable(
       std::move(out), {a, b},
       [a, b, m, d](VarNode& node) {
         // Fresh Tensors are zero-filled, so the axpy accumulate is exact.
@@ -507,25 +418,17 @@ Variable RowwiseDot(const Variable& a, const Variable& b) {
         a.node()->AccumulateGrad(std::move(ga));
         b.node()->AccumulateGrad(std::move(gb));
       },
-      "RowwiseDot", detail::RecordedForward(compute));
-  detail::AnnotateOp(v, ProgramOpInfo{ProgramOpKind::kRowwiseDot, 0.0f,
-                                      nullptr, {a.node(), b.node()}});
-  return v;
+      "RowwiseDot");
 }
 
 Variable L2NormalizeRows(const Variable& a, float eps) {
   UM_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.dim(0), d = a.dim(1);
   Tensor norms = Tensor::Empty({m});
-  // `mutable` so the closure can hand the captured norms handle (shared
-  // storage with the backward's capture) to the kernel for in-place refresh.
-  auto compute = [a, norms, eps](Tensor& out) mutable {
-    unimatch::L2NormalizeRows(a.value(), &out, &norms, eps);
-  };
   Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  unimatch::L2NormalizeRows(a.value(), &out, &norms, eps);
   Tensor y = out;  // share storage: y is the normalized output
-  Variable v = MakeOpVariable(
+  return MakeOpVariable(
       std::move(out), {a},
       [a, y, norms, m, d](VarNode& node) {
         // dx = (g - y * <y, g>) / ||x||  row-wise.
@@ -542,10 +445,7 @@ Variable L2NormalizeRows(const Variable& a, float eps) {
         });
         a.node()->AccumulateGrad(std::move(gin));
       },
-      "L2NormalizeRows", detail::RecordedForward(compute));
-  detail::AnnotateOp(v, ProgramOpInfo{ProgramOpKind::kL2NormalizeRows, eps,
-                                      nullptr, {a.node()}});
-  return v;
+      "L2NormalizeRows");
 }
 
 namespace {
@@ -554,20 +454,18 @@ Variable SoftmaxImpl(const Variable& a, int dim, bool log_space) {
   UM_CHECK_EQ(a.rank(), 2);
   UM_CHECK(dim == 0 || dim == 1);
   const int64_t m = a.value().dim(0), n = a.value().dim(1);
-  // dim=1 runs the row kernel straight into the output (in place, so replay
-  // refills the retained buffer); dim=0 transposes into per-call scratch,
-  // runs the row kernel, and transposes back (cheap for the [B, B] logit
-  // matrices involved).
-  auto compute = [a, dim, log_space, m, n](Tensor& out) {
-    const Tensor& x = a.value();
-    if (dim == 1) {
-      if (log_space) {
-        LogSoftmaxRows(x, &out);
-      } else {
-        SoftmaxRows(x, &out);
-      }
-      return;
+  // dim=1 runs the row kernel straight into the output; dim=0 transposes
+  // into scratch, runs the row kernel, and transposes back (cheap for the
+  // [B, B] logit matrices involved).
+  const Tensor& x = a.value();
+  Tensor out = Tensor::Empty(a.shape());
+  if (dim == 1) {
+    if (log_space) {
+      LogSoftmaxRows(x, &out);
+    } else {
+      SoftmaxRows(x, &out);
     }
+  } else {
     Tensor tr = Tensor::Empty({n, m});
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) tr.at(j, i) = x.at(i, j);
@@ -581,9 +479,7 @@ Variable SoftmaxImpl(const Variable& a, int dim, bool log_space) {
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) out.at(i, j) = out_rows.at(j, i);
     }
-  };
-  Tensor out = Tensor::Empty(a.shape());
-  compute(out);
+  }
 
   Tensor y = out;
   auto backward = [a, y, dim, m, n, log_space](VarNode& node) {
@@ -628,8 +524,7 @@ Variable SoftmaxImpl(const Variable& a, int dim, bool log_space) {
     a.node()->AccumulateGrad(std::move(gin));
   };
   return MakeOpVariable(std::move(out), {a}, backward,
-                        log_space ? "LogSoftmax" : "Softmax",
-                        detail::RecordedForward(compute));
+                        log_space ? "LogSoftmax" : "Softmax");
 }
 
 }  // namespace
@@ -741,22 +636,16 @@ Variable BCEWithLogits(const Variable& logits, const Tensor& labels) {
       << "BCEWithLogits";
   const int64_t n = logits.numel();
   UM_CHECK_GT(n, 0);
-  // loss_i = max(x,0) - x*y + log(1 + exp(-|x|)). The labels handle shares
-  // its caller's storage, so a program-bound labels tensor refreshes both
-  // this closure and the backward on replay.
-  auto compute = [logits, labels, n](Tensor& out) {
-    const float* x = logits.value().data();
-    const float* yl = labels.data();
-    double total = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float xi = x[i];
-      total += std::max(xi, 0.0f) - xi * yl[i] +
-               std::log1p(std::exp(-std::fabs(xi)));
-    }
-    out.data()[0] = static_cast<float>(total / n);
-  };
-  Tensor out = Tensor::Scalar(0.0f);
-  compute(out);
+  // loss_i = max(x,0) - x*y + log(1 + exp(-|x|)).
+  const float* x = logits.value().data();
+  const float* yl = labels.data();
+  double total = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    total += std::max(xi, 0.0f) - xi * yl[i] +
+             std::log1p(std::exp(-std::fabs(xi)));
+  }
+  Tensor out = Tensor::Scalar(static_cast<float>(total / n));
   return MakeOpVariable(
       std::move(out), {logits},
       [logits, labels, n](VarNode& node) {
@@ -773,7 +662,7 @@ Variable BCEWithLogits(const Variable& logits, const Tensor& labels) {
         }
         logits.node()->AccumulateGrad(std::move(gin));
       },
-      "BCEWithLogits", detail::RecordedForward(compute));
+      "BCEWithLogits");
 }
 
 }  // namespace unimatch::nn

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/tensor/kernels.h"
 #include "src/util/contract.h"
 #include "src/util/parallel.h"
 
@@ -35,43 +34,6 @@ void Sgd::Step() {
     UM_CHECK_FINITE(p.variable.grad()) << "param " << p.name;
     p.variable.mutable_value().AddInPlace(p.variable.grad(), -lr_);
   }
-}
-
-double Sgd::ClipAndStep(double max_norm) {
-  // Norm computation is verbatim ClipGradNorm so the clip decision and scale
-  // are bitwise identical to the unfused path.
-  double sq = 0.0;
-  for (auto& p : params_) {
-    if (!p.variable.grad_defined()) continue;
-    const double n = p.variable.grad().L2Norm();
-    sq += n * n;
-  }
-  const double norm = std::sqrt(sq);
-  UM_CONTRACT(std::isfinite(norm))
-      << "gradient norm is non-finite before clipping (" << norm << ")";
-  if (!(norm > max_norm && norm > 0.0)) {
-    // No rescale needed: the plain apply already is a single axpy pass.
-    Step();
-    return norm;
-  }
-  const float scale = static_cast<float>(max_norm / norm);
-  for (auto& p : params_) {
-    if (!p.variable.grad_defined()) continue;
-    // The finite check runs pre-scale here; scale is in (0, 1], so a grad is
-    // finite after the unfused path's rescale iff it is finite before.
-    UM_CHECK_FINITE(p.variable.grad()) << "param " << p.name;
-    // Safe: grad tensors are owned per-node.
-    float* g = const_cast<Tensor&>(p.variable.grad()).data();
-    float* w = p.variable.mutable_value().data();
-    // Per-element update: region sharding is bitwise-exact.
-    RegionParallelForRange(
-        0, p.variable.numel(),
-        [&](int64_t lo, int64_t hi) {
-          kernels::FusedScaleAxpyF32(hi - lo, scale, g + lo, -lr_, w + lo);
-        },
-        /*min_range=*/8192);
-  }
-  return norm;
 }
 
 Adagrad::Adagrad(std::vector<NamedParameter> params, float lr, float eps)

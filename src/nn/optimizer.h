@@ -35,15 +35,6 @@ class Optimizer {
   /// most `max_norm`. Returns the pre-clip norm.
   double ClipGradNorm(double max_norm);
 
-  /// ClipGradNorm followed by Step, returning the pre-clip norm. Subclasses
-  /// may override with a fused clip+apply pass; any override must stay
-  /// bitwise identical to the two-call sequence.
-  virtual double ClipAndStep(double max_norm) {
-    const double norm = ClipGradNorm(max_norm);
-    Step();
-    return norm;
-  }
-
   const std::vector<NamedParameter>& params() const { return params_; }
 
  protected:
@@ -56,10 +47,6 @@ class Sgd : public Optimizer {
   Sgd(std::vector<NamedParameter> params, float lr)
       : Optimizer(std::move(params)), lr_(lr) {}
   void Step() override;
-  /// Fused path: when the norm exceeds `max_norm`, each parameter's clip
-  /// rescale and SGD apply run as one FusedScaleAxpyF32 pass instead of two
-  /// (bitwise identical to ClipGradNorm + Step, see kernels.h).
-  double ClipAndStep(double max_norm) override;
   void SetLearningRate(float lr) override { lr_ = lr; }
   float learning_rate() const override { return lr_; }
 

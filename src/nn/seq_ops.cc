@@ -4,14 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "src/nn/program.h"
 #include "src/tensor/tensor_ops.h"
-
-// Ops taking id/length vectors capture them through detail::CaptureIds:
-// under an active ProgramRecorder this resolves to the program-owned slot
-// that Program::BindIds refreshes before each replay (an unresolvable
-// vector falls the recording back to the tape); outside recording it is a
-// plain private copy, the old capture-by-value behavior.
 
 namespace unimatch::nn {
 
@@ -20,26 +13,21 @@ Variable EmbeddingLookup(const Variable& table,
   UM_CHECK_EQ(table.rank(), 2);
   const int64_t v = table.dim(0), d = table.dim(1);
   const int64_t n = static_cast<int64_t>(ids.size());
-  auto ids_slot = detail::CaptureIds(ids);
-  auto compute = [table, ids_slot, v, d, n](Tensor& out) {
-    out.SetZero();  // pad rows stay zero
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t id = (*ids_slot)[i];
-      if (id == kPadId) continue;
-      UM_CHECK_GE(id, 0);
-      UM_CHECK_LT(id, v);
-      const float* src = table.value().data() + id * d;
-      std::copy(src, src + d, out.data() + i * d);
-    }
-  };
-  Tensor out = Tensor::Empty({n, d});
-  compute(out);
-  Variable result = MakeOpVariable(
+  Tensor out({n, d});  // zero-filled: pad rows stay zero
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t id = ids[i];
+    if (id == kPadId) continue;
+    UM_CHECK_GE(id, 0);
+    UM_CHECK_LT(id, v);
+    const float* src = table.value().data() + id * d;
+    std::copy(src, src + d, out.data() + i * d);
+  }
+  return MakeOpVariable(
       std::move(out), {table},
-      [table, ids_slot, d](VarNode& node) {
+      [table, ids, d](VarNode& node) {
         Tensor g(table.shape());
-        for (size_t i = 0; i < ids_slot->size(); ++i) {
-          const int64_t id = (*ids_slot)[i];
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const int64_t id = ids[i];
           if (id == kPadId) continue;
           const float* src = node.grad.data() + static_cast<int64_t>(i) * d;
           float* dst = g.data() + id * d;
@@ -47,11 +35,7 @@ Variable EmbeddingLookup(const Variable& table,
         }
         table.node()->AccumulateGrad(std::move(g));
       },
-      "EmbeddingLookup", detail::RecordedForward(compute));
-  detail::AnnotateOp(result,
-                     ProgramOpInfo{ProgramOpKind::kEmbeddingLookup, 0.0f,
-                                   ids_slot, {table.node()}});
-  return result;
+      "EmbeddingLookup");
 }
 
 Variable EmbeddingLookupSeq(const Variable& table,
@@ -60,14 +44,12 @@ Variable EmbeddingLookupSeq(const Variable& table,
   UM_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * len);
   Variable flat = EmbeddingLookup(table, ids);
   Tensor out = flat.value().Reshaped({batch, len, table.dim(1)});
-  // The output is a zero-copy view of `flat`'s storage, so the replayed
-  // lookup already refreshed it: the replay closure has nothing to do.
   return MakeOpVariable(
       std::move(out), {flat},
       [flat](VarNode& node) {
         flat.node()->AccumulateGrad(node.grad.Reshaped(flat.shape()));
       },
-      "SeqReshape", detail::RecordedForward([](Tensor&) {}));
+      "SeqReshape");
 }
 
 Variable ShiftSeq(const Variable& x, int64_t offset) {
@@ -195,30 +177,24 @@ Variable MaskedMeanPool(const Variable& x,
   UM_CHECK_EQ(x.rank(), 3);
   CheckLengths(x, lengths);
   const int64_t b = x.dim(0), l = x.dim(1), d = x.dim(2);
-  auto len_slot = detail::CaptureIds(lengths);
-  auto compute = [x, len_slot, b, l, d](Tensor& out) {
-    out.SetZero();  // rows with len == 0 stay zero
-    for (int64_t i = 0; i < b; ++i) {
-      const int64_t len = (*len_slot)[i];
-      UM_CHECK_LE(len, l);
-      if (len == 0) continue;
-      float* dst = out.data() + i * d;
-      for (int64_t t = 0; t < len; ++t) {
-        const float* src = x.value().data() + (i * l + t) * d;
-        for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-      }
-      const float inv = 1.0f / static_cast<float>(len);
-      for (int64_t j = 0; j < d; ++j) dst[j] *= inv;
+  Tensor out({b, d});  // zero-filled: rows with len == 0 stay zero
+  for (int64_t i = 0; i < b; ++i) {
+    const int64_t len = lengths[i];
+    if (len == 0) continue;
+    float* dst = out.data() + i * d;
+    for (int64_t t = 0; t < len; ++t) {
+      const float* src = x.value().data() + (i * l + t) * d;
+      for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
     }
-  };
-  Tensor out = Tensor::Empty({b, d});
-  compute(out);
+    const float inv = 1.0f / static_cast<float>(len);
+    for (int64_t j = 0; j < d; ++j) dst[j] *= inv;
+  }
   return MakeOpVariable(
       std::move(out), {x},
-      [x, len_slot, l, d](VarNode& node) {
+      [x, lengths, l, d](VarNode& node) {
         Tensor g(x.shape());
-        for (size_t i = 0; i < len_slot->size(); ++i) {
-          const int64_t len = (*len_slot)[i];
+        for (size_t i = 0; i < lengths.size(); ++i) {
+          const int64_t len = lengths[i];
           if (len == 0) continue;
           const float inv = 1.0f / static_cast<float>(len);
           const float* go = node.grad.data() + static_cast<int64_t>(i) * d;
@@ -229,81 +205,67 @@ Variable MaskedMeanPool(const Variable& x,
         }
         x.node()->AccumulateGrad(std::move(g));
       },
-      "MaskedMeanPool", detail::RecordedForward(compute));
+      "MaskedMeanPool");
 }
 
 Variable MaskedMaxPool(const Variable& x, const std::vector<int64_t>& lengths) {
   UM_CHECK_EQ(x.rank(), 3);
   CheckLengths(x, lengths);
-  const int64_t b = x.dim(0), l = x.dim(1), d = x.dim(2);
-  auto len_slot = detail::CaptureIds(lengths);
-  // argmax[b * d + j] = winning time step for output (b, j). Shared between
-  // the closures; the replay closure refills it before the backward reads it.
-  auto argmax = std::make_shared<std::vector<int64_t>>(b * d, -1);
-  auto compute = [x, len_slot, argmax, b, l, d](Tensor& out) {
-    out.SetZero();
-    argmax->assign(static_cast<size_t>(b * d), -1);
-    for (int64_t i = 0; i < b; ++i) {
-      const int64_t len = (*len_slot)[i];
-      UM_CHECK_LE(len, l);
-      if (len == 0) continue;
-      float* dst = out.data() + i * d;
-      for (int64_t j = 0; j < d; ++j) {
-        float best = -std::numeric_limits<float>::infinity();
-        int64_t best_t = -1;
-        for (int64_t t = 0; t < len; ++t) {
-          const float v = x.value().at(i, t, j);
-          if (v > best) {
-            best = v;
-            best_t = t;
-          }
+  const int64_t b = x.dim(0), d = x.dim(2);
+  // argmax[b * d + j] = winning time step for output (b, j).
+  std::vector<int64_t> argmax(static_cast<size_t>(b * d), -1);
+  Tensor out({b, d});
+  for (int64_t i = 0; i < b; ++i) {
+    const int64_t len = lengths[i];
+    if (len == 0) continue;
+    float* dst = out.data() + i * d;
+    for (int64_t j = 0; j < d; ++j) {
+      float best = -std::numeric_limits<float>::infinity();
+      int64_t best_t = -1;
+      for (int64_t t = 0; t < len; ++t) {
+        const float v = x.value().at(i, t, j);
+        if (v > best) {
+          best = v;
+          best_t = t;
         }
-        dst[j] = best;
-        (*argmax)[i * d + j] = best_t;
       }
+      dst[j] = best;
+      argmax[i * d + j] = best_t;
     }
-  };
-  Tensor out = Tensor::Empty({b, d});
-  compute(out);
+  }
   return MakeOpVariable(
       std::move(out), {x},
-      [x, argmax, b, l, d](VarNode& node) {
+      [x, argmax = std::move(argmax), b, d](VarNode& node) {
         Tensor g(x.shape());
         for (int64_t i = 0; i < b; ++i) {
           for (int64_t j = 0; j < d; ++j) {
-            const int64_t t = (*argmax)[i * d + j];
+            const int64_t t = argmax[i * d + j];
             if (t < 0) continue;
             g.at(i, t, j) += node.grad.at(i, j);
           }
         }
         x.node()->AccumulateGrad(std::move(g));
       },
-      "MaskedMaxPool", detail::RecordedForward(compute));
+      "MaskedMaxPool");
 }
 
 Variable LastPool(const Variable& x, const std::vector<int64_t>& lengths) {
   UM_CHECK_EQ(x.rank(), 3);
   CheckLengths(x, lengths);
   const int64_t b = x.dim(0), l = x.dim(1), d = x.dim(2);
-  auto len_slot = detail::CaptureIds(lengths);
-  auto compute = [x, len_slot, b, l, d](Tensor& out) {
-    out.SetZero();  // rows with len == 0 stay zero
-    for (int64_t i = 0; i < b; ++i) {
-      const int64_t len = (*len_slot)[i];
-      UM_CHECK_LE(len, l);
-      if (len == 0) continue;
-      const float* src = x.value().data() + (i * l + (len - 1)) * d;
-      std::copy(src, src + d, out.data() + i * d);
-    }
-  };
-  Tensor out = Tensor::Empty({b, d});
-  compute(out);
+  Tensor out({b, d});  // zero-filled: rows with len == 0 stay zero
+  for (int64_t i = 0; i < b; ++i) {
+    const int64_t len = lengths[i];
+    if (len == 0) continue;
+    const float* src = x.value().data() + (i * l + (len - 1)) * d;
+    std::copy(src, src + d, out.data() + i * d);
+  }
   return MakeOpVariable(
       std::move(out), {x},
-      [x, len_slot, l, d](VarNode& node) {
+      [x, lengths, l, d](VarNode& node) {
         Tensor g(x.shape());
-        for (size_t i = 0; i < len_slot->size(); ++i) {
-          const int64_t len = (*len_slot)[i];
+        for (size_t i = 0; i < lengths.size(); ++i) {
+          const int64_t len = lengths[i];
           if (len == 0) continue;
           const float* go = node.grad.data() + static_cast<int64_t>(i) * d;
           float* gi =
@@ -312,7 +274,7 @@ Variable LastPool(const Variable& x, const std::vector<int64_t>& lengths) {
         }
         x.node()->AccumulateGrad(std::move(g));
       },
-      "LastPool", detail::RecordedForward(compute));
+      "LastPool");
 }
 
 Variable MaskedSoftmaxSeq(const Variable& scores,

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "src/util/file_util.h"
 #include "src/util/string_util.h"
 
 namespace unimatch::nn {
@@ -11,13 +12,6 @@ namespace unimatch::nn {
 namespace {
 constexpr char kMagic[4] = {'U', 'M', 'C', 'K'};
 constexpr uint32_t kVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 bool WriteBytes(std::FILE* f, const void* p, size_t n) {
   return std::fwrite(p, 1, n, f) == n;
@@ -81,14 +75,18 @@ Status LoadParameters(const std::string& path,
   for (auto& p : *params) by_name[p.name] = &p.variable;
   std::unordered_map<std::string, bool> seen;
 
+  // Every size below comes from the file, so each is checked against the
+  // bytes actually left before anything is allocated for it.
   for (uint64_t idx = 0; idx < count; ++idx) {
     uint32_t name_len = 0, rank = 0;
-    if (!ReadBytes(f.get(), &name_len, sizeof(name_len))) {
+    if (!ReadBytes(f.get(), &name_len, sizeof(name_len)) ||
+        name_len > BytesLeft(f.get())) {
       return Status::IOError("truncated checkpoint: " + path);
     }
     std::string name(name_len, '\0');
     if (!ReadBytes(f.get(), name.data(), name_len) ||
-        !ReadBytes(f.get(), &rank, sizeof(rank))) {
+        !ReadBytes(f.get(), &rank, sizeof(rank)) ||
+        rank > BytesLeft(f.get()) / static_cast<int64_t>(sizeof(int64_t))) {
       return Status::IOError("truncated checkpoint: " + path);
     }
     Shape shape(rank);
@@ -97,7 +95,19 @@ Status LoadParameters(const std::string& path,
         return Status::IOError("truncated checkpoint: " + path);
       }
     }
-    const int64_t numel = ShapeNumel(shape);
+    const int64_t max_numel =
+        BytesLeft(f.get()) / static_cast<int64_t>(sizeof(float));
+    int64_t numel = 1;
+    for (const int64_t d : shape) {
+      if (d < 0 || (d > 0 && numel > max_numel / d)) {
+        return Status::IOError("corrupt parameter shape in checkpoint: " +
+                               path);
+      }
+      numel *= d;
+    }
+    if (numel > max_numel) {
+      return Status::IOError("truncated checkpoint: " + path);
+    }
     std::vector<float> data(numel);
     if (!ReadBytes(f.get(), data.data(), sizeof(float) * numel)) {
       return Status::IOError("truncated checkpoint: " + path);

@@ -3,8 +3,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/nn/program.h"
-
 namespace unimatch::nn {
 
 void VarNode::AccumulateGrad(const Tensor& g) {
@@ -51,11 +49,9 @@ void Variable::ZeroGrad() {
   node_->backward = nullptr;
 }
 
-namespace {
-
-Variable MakeOpVariableImpl(Tensor value, std::vector<Variable>& inputs,
-                            std::function<void(VarNode&)>& backward,
-                            const char* op_name) {
+Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
+                        std::function<void(VarNode&)> backward,
+                        const char* op_name) {
   auto node = std::make_shared<VarNode>();
   node->value = std::move(value);
   node->op = op_name;
@@ -75,37 +71,7 @@ Variable MakeOpVariableImpl(Tensor value, std::vector<Variable>& inputs,
   return Variable(std::move(node));
 }
 
-}  // namespace
-
-Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
-                        std::function<void(VarNode&)> backward,
-                        const char* op_name) {
-  Variable v = MakeOpVariableImpl(std::move(value), inputs, backward, op_name);
-  if (kProgramCacheEnabled) {
-    if (ProgramRecorder* rec = ProgramRecorder::Active()) {
-      // No replay closure: this op only exists on the tape, so any
-      // recording that reaches it must keep using the tape.
-      rec->RecordOpaque(op_name);
-      rec->RecordOp(v.node(), nullptr);
-    }
-  }
-  return v;
-}
-
-Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
-                        std::function<void(VarNode&)> backward,
-                        const char* op_name,
-                        std::function<void(VarNode&)> forward) {
-  Variable v = MakeOpVariableImpl(std::move(value), inputs, backward, op_name);
-  if (kProgramCacheEnabled) {
-    if (ProgramRecorder* rec = ProgramRecorder::Active()) {
-      rec->RecordOp(v.node(), std::move(forward));
-    }
-  }
-  return v;
-}
-
-namespace detail {
+namespace {
 
 // Iterative post-order DFS (avoids stack overflow on deep RNN graphs).
 void TopoSort(VarNode* root, std::vector<VarNode*>* order) {
@@ -132,13 +98,9 @@ void TopoSort(VarNode* root, std::vector<VarNode*>* order) {
   }
 }
 
-}  // namespace detail
-
-namespace {
-
 void RunBackward(VarNode* root_node, Tensor&& seed) {
   std::vector<VarNode*> order;
-  detail::TopoSort(root_node, &order);
+  TopoSort(root_node, &order);
 
   root_node->AccumulateGrad(std::move(seed));
 

@@ -87,32 +87,10 @@ class Variable {
   std::shared_ptr<VarNode> node_;
 };
 
-/// Creates a non-leaf Variable for an op result. Ops built through this
-/// overload have no replay closure; if a ProgramRecorder is active they
-/// mark the recording non-replayable (the step still runs on the tape).
+/// Creates a non-leaf Variable for an op result.
 Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
                         std::function<void(VarNode&)> backward,
                         const char* op_name);
-
-/// Record-aware overload: `forward` recomputes this op's value in place
-/// (reading the input nodes' current values) so a recorded program can
-/// replay the op without rebuilding the graph. Ops pass the closure
-/// produced by detail::RecordedForward — empty unless a ProgramRecorder is
-/// active on this thread, in which case the (node, forward) pair is
-/// appended to the recording.
-Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
-                        std::function<void(VarNode&)> backward,
-                        const char* op_name,
-                        std::function<void(VarNode&)> forward);
-
-namespace detail {
-
-/// Iterative post-order topological sort over the requires_grad subgraph
-/// (inputs before consumers). Exposed for the recorded-program executor,
-/// which captures this order once at record time and replays it.
-void TopoSort(VarNode* root, std::vector<VarNode*>* order);
-
-}  // namespace detail
 
 /// Runs reverse-mode differentiation from `root` (must be scalar). Seeds
 /// d(root)/d(root) = 1 and populates .grad() on every reachable Variable with

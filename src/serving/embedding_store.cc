@@ -3,24 +3,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <vector>
 
 #include "src/obs/obs.h"
 #include "src/tensor/kernels.h"
+#include "src/util/file_util.h"
 
 namespace unimatch::serving {
 
 namespace {
 constexpr char kMagic[4] = {'U', 'M', 'E', 'B'};
 constexpr uint32_t kVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 Status WriteMatrix(std::FILE* f, const Tensor& t) {
   if (t.rank() != 2) return Status::InvalidArgument("expected [N, d] matrix");
@@ -38,6 +30,13 @@ Result<Tensor> ReadMatrix(std::FILE* f) {
   if (std::fread(dims, sizeof(dims), 1, f) != 1 || dims[0] < 0 ||
       dims[1] <= 0) {
     return Status::IOError("corrupt matrix header");
+  }
+  // The header is file input: the floats it claims must fit in what is
+  // left of the file before anything is allocated for them.
+  const int64_t left_floats =
+      BytesLeft(f) / static_cast<int64_t>(sizeof(float));
+  if (dims[1] > left_floats || dims[0] > left_floats / dims[1]) {
+    return Status::IOError("matrix header exceeds the file size");
   }
   Tensor t({dims[0], dims[1]});
   if (std::fread(t.data(), sizeof(float), t.numel(), f) !=

@@ -111,10 +111,10 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEngine(
   for (const auto& history : splits->histories) {
     snap->servable_.push_back(history.empty() ? 0 : 1);
   }
-  snap->item_index_ = engine.MakeConfiguredIndex();
-  snap->user_index_ = engine.MakeConfiguredIndex();
-  UNIMATCH_RETURN_IF_ERROR(snap->item_index_->Build(engine.item_embeddings()));
-  UNIMATCH_RETURN_IF_ERROR(snap->user_index_->Build(engine.user_embeddings()));
+  // The engine's indexes are built over exactly these matrices and are
+  // never mutated once built, so the snapshot shares them.
+  snap->item_index_ = engine.item_index();
+  snap->user_index_ = engine.user_index();
   UM_GAUGE_SET("serving.frontend.snapshot.table_bytes_per_user",
                snap->table_bytes_per_user());
   return std::shared_ptr<const EngineSnapshot>(std::move(snap));
@@ -146,19 +146,22 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEmbeddings(
   snap->num_items_ = snap->item_table_.rows();
   snap->dim_ = snap->item_table_.cols();
   snap->servable_ = std::move(servable_users);
+  std::unique_ptr<ann::Index> item_index, user_index;
   if (options.table_storage == ScalarType::kF32) {
-    snap->item_index_ = std::make_unique<ann::BruteForceIndex>();
-    snap->user_index_ = std::make_unique<ann::BruteForceIndex>();
+    item_index = std::make_unique<ann::BruteForceIndex>();
+    user_index = std::make_unique<ann::BruteForceIndex>();
   } else {
     // Quantized tables get the matching quantized flat scan, so candidate
     // scores come from the same codes the tables hold.
-    snap->item_index_ =
+    item_index =
         std::make_unique<ann::QuantizedFlatIndex>(options.table_storage);
-    snap->user_index_ =
+    user_index =
         std::make_unique<ann::QuantizedFlatIndex>(options.table_storage);
   }
-  UNIMATCH_RETURN_IF_ERROR(snap->item_index_->Build(item_embeddings));
-  UNIMATCH_RETURN_IF_ERROR(snap->user_index_->Build(user_embeddings));
+  UNIMATCH_RETURN_IF_ERROR(item_index->Build(item_embeddings));
+  UNIMATCH_RETURN_IF_ERROR(user_index->Build(user_embeddings));
+  snap->item_index_ = std::move(item_index);
+  snap->user_index_ = std::move(user_index);
   UM_GAUGE_SET("serving.frontend.snapshot.table_bytes_per_user",
                snap->table_bytes_per_user());
   return std::shared_ptr<const EngineSnapshot>(std::move(snap));

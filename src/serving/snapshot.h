@@ -50,8 +50,9 @@ struct SnapshotOptions {
 class EngineSnapshot {
  public:
   /// Snapshots a fitted engine: aliases (or quantizes, per
-  /// `options.table_storage`) its embedding matrices and builds fresh
-  /// indexes of the engine's configured kind, owned by the snapshot.
+  /// `options.table_storage`) its embedding matrices and shares the
+  /// engine's current serving indexes, which a later refresh replaces
+  /// rather than mutates.
   /// `version` is the promotion counter (e.g. the training month); it only
   /// feeds observability.
   static Result<std::shared_ptr<const EngineSnapshot>> FromEngine(
@@ -131,8 +132,8 @@ class EngineSnapshot {
   /// (RecommendItems returns NotFound, matching UniMatchEngine). Empty
   /// means every user is servable.
   std::vector<uint8_t> servable_;
-  std::unique_ptr<ann::Index> item_index_;  // queried by RecommendItems
-  std::unique_ptr<ann::Index> user_index_;  // queried by TargetUsers
+  std::shared_ptr<const ann::Index> item_index_;  // queried by RecommendItems
+  std::shared_ptr<const ann::Index> user_index_;  // queried by TargetUsers
 };
 
 /// The single swap point between training and serving. Thread-safe by

@@ -48,14 +48,6 @@ void ScaleAddPortable(int64_t n, float alpha, const float* x, float beta,
   for (int64_t i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
 }
 
-void FusedScaleAxpyPortable(int64_t n, float scale, float* g, float alpha,
-                            float* w) {
-  for (int64_t i = 0; i < n; ++i) {
-    g[i] = scale * g[i];
-    w[i] += alpha * g[i];
-  }
-}
-
 void GemmRowsAxpyPortable(int64_t i0, int64_t i1, int64_t n, int64_t k,
                           float alpha, const float* a, int64_t ars,
                           int64_t acs, const float* b, float beta, float* c) {
@@ -252,25 +244,6 @@ __attribute__((target("avx2,fma"))) void ScaleAddAvx2(int64_t n, float alpha,
                      _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), scaled_y));
   }
   for (; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
-}
-
-__attribute__((target("avx2,fma"))) void FusedScaleAxpyAvx2(int64_t n,
-                                                            float scale,
-                                                            float* g,
-                                                            float alpha,
-                                                            float* w) {
-  const __m256 vs = _mm256_set1_ps(scale);
-  const __m256 va = _mm256_set1_ps(alpha);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vg = _mm256_mul_ps(vs, _mm256_loadu_ps(g + i));
-    _mm256_storeu_ps(g + i, vg);
-    _mm256_storeu_ps(w + i, _mm256_fmadd_ps(va, vg, _mm256_loadu_ps(w + i)));
-  }
-  for (; i < n; ++i) {
-    g[i] = scale * g[i];
-    w[i] += alpha * g[i];
-  }
 }
 
 __attribute__((target("avx2,fma"))) void ScaleIntoAvx2(int64_t n, float alpha,
@@ -686,20 +659,6 @@ void ScaleAddF32(int64_t n, float alpha, const float* x, float beta,
   }
 #endif
   ScaleAddPortable(n, alpha, x, beta, y);
-}
-
-void FusedScaleAxpyF32(int64_t n, float scale, float* g, float alpha,
-                       float* w) {
-  UM_CONTRACT(n >= 0 && (n == 0 || (g != nullptr && w != nullptr)))
-      << "FusedScaleAxpyF32 n=" << n;
-  UM_CONTRACT(n == 0 || g != w) << "FusedScaleAxpyF32 aliased g/w";
-#if defined(UNIMATCH_KERNELS_X86)
-  if (ActiveBackend() == Backend::kAvx2) {
-    FusedScaleAxpyAvx2(n, scale, g, alpha, w);
-    return;
-  }
-#endif
-  FusedScaleAxpyPortable(n, scale, g, alpha, w);
 }
 
 float L2NormalizeF32(int64_t n, const float* x, float* y, float eps) {

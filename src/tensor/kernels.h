@@ -63,16 +63,6 @@ void ScaleAddF32(int64_t n, float alpha, const float* x, float beta, float* y);
 /// may alias exactly.
 float L2NormalizeF32(int64_t n, const float* x, float* y, float eps);
 
-/// Fused optimizer apply: g[i] *= scale, then w[i] += alpha * g[i], in one
-/// pass over both arrays. For finite inputs the result is bitwise identical
-/// to ScaleAddF32(n, 0, g, scale, g) followed by AxpyF32(n, alpha, g, w)
-/// (the separate passes the tape-mode optimizer runs): the per-element
-/// +-0 term that ScaleAddF32 adds never changes a finite product's sign or
-/// value, and both kernels use the same 8-lane block and scalar-tail
-/// structure. `g` and `w` must not alias.
-void FusedScaleAxpyF32(int64_t n, float scale, float* g, float alpha,
-                       float* w);
-
 /// Row-range gemm building blocks. Both compute, for C rows i in [i0, i1):
 ///
 ///   C[i, j] = beta * C[i, j] + alpha * sum_p A(i, p) * B(?, ?)

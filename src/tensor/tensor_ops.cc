@@ -63,8 +63,7 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
-void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-                Tensor* out) {
+Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   UM_COUNTER_INC("tensor.matmul.calls");
   UM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2, a, b)
       << "MatMul needs rank-2 operands";
@@ -75,20 +74,10 @@ void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
   UM_CHECK_SHAPE(ka == kb, a, b)
       << "MatMul inner dimensions (trans_a=" << trans_a
       << ", trans_b=" << trans_b << ")";
-  UM_CHECK_SHAPE(out->rank() == 2 && out->dim(0) == m && out->dim(1) == n, a,
-                 *out)
-      << "MatMulInto output";
-  Gemm(trans_a, trans_b, m, n, ka, 1.0f, a.data(), b.data(), 0.0f,
-       out->data());
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  const int64_t m = trans_a ? a.dim(1) : a.dim(0);
-  const int64_t n = trans_b ? b.dim(0) : b.dim(1);
   // Gemm with beta == 0 writes every C element without reading it, so the
   // output can skip the zero-fill.
   Tensor c = Tensor::Empty({m, n});
-  MatMulInto(a, b, trans_a, trans_b, &c);
+  Gemm(trans_a, trans_b, m, n, ka, 1.0f, a.data(), b.data(), 0.0f, c.data());
   return c;
 }
 

@@ -21,12 +21,6 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 
-/// In-place form: writes op(A) x op(B) into the preallocated `*out`
-/// ([m, n], every element overwritten). The workspace-reuse entry point for
-/// recorded-program replay; MatMul is a thin allocate-and-call wrapper.
-void MatMulInto(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-                Tensor* out);
-
 /// Batched matmul on rank-3 tensors: out[b] = op(A[b]) x op(B[b]).
 Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
                    bool trans_b = false);

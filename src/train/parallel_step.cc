@@ -41,18 +41,6 @@ bool ShardedUserEncoder::NeedsReplicas() const {
 nn::Variable ShardedUserEncoder::Encode(
     const std::vector<int64_t>& history_ids,
     const std::vector<int64_t>& lengths, Rng* step_rng) {
-  if (nn::kProgramCacheEnabled) {
-    if (nn::ProgramRecorder* rec = nn::ProgramRecorder::Active()) {
-      if (step_rng != nullptr && primary_->config().dropout > 0.0f) {
-        // Dropout draws fresh masks every step; the step records as a
-        // tape-only tombstone.
-        rec->MarkFallback("sharded dropout");
-      } else {
-        nn::Variable recorded = EncodeRecorded(rec, history_ids, lengths);
-        if (recorded.defined()) return recorded;
-      }
-    }
-  }
   const int64_t b = static_cast<int64_t>(lengths.size());
   UM_CHECK_GT(b, 0);
   UM_CHECK_EQ(static_cast<int64_t>(history_ids.size()) % b, 0);
@@ -203,220 +191,6 @@ void ShardedUserEncoder::FinishBackward() {
     shard.head = nn::Variable();
   }
   history_ids_ = nullptr;
-}
-
-nn::Variable ShardedUserEncoder::EncodeRecorded(
-    nn::ProgramRecorder* rec, const std::vector<int64_t>& history_ids,
-    const std::vector<int64_t>& lengths) {
-  // The replay closures can only re-read program-owned slots; anything
-  // else would go stale between steps.
-  auto ids_slot = rec->LookupIdsSlot(history_ids);
-  auto len_slot = rec->LookupIdsSlot(lengths);
-  if (ids_slot == nullptr || len_slot == nullptr) {
-    rec->MarkFallback("sharded ids not program-bound");
-    return nn::Variable();
-  }
-  const int64_t b = static_cast<int64_t>(lengths.size());
-  UM_CHECK_GT(b, 0);
-  UM_CHECK_EQ(static_cast<int64_t>(history_ids.size()) % b, 0);
-  const int64_t l = static_cast<int64_t>(history_ids.size()) / b;
-  const Tensor& table = primary_->user_lookup_table().value();
-  const int64_t v = table.dim(0), d = table.dim(1);
-
-  const int64_t grain = ShardGrain(b);
-  const int64_t num_shards = (b + grain - 1) / grain;
-  const bool replicated = NeedsReplicas();
-  UM_CONTRACT(num_shards >= 1 && (num_shards - 1) * grain < b)
-      << "bad shard partition: batch " << b << " grain " << grain;
-  if (replicated) {
-    while (static_cast<int64_t>(replicas_.size()) < num_shards - 1) {
-      auto rep = std::make_unique<model::TwoTowerModel>(primary_->config());
-      rep->AliasParametersFrom(*primary_);
-      replicas_.push_back(std::move(rep));
-    }
-  }
-
-  auto plan = std::make_shared<Plan>();
-  plan->ids = ids_slot;
-  plan->batch_lengths = len_slot;
-  plan->seq_len = l;
-  plan->shards.resize(num_shards);
-  // The record step runs the shards serially on this thread: the recorder
-  // stack is thread-local, so each shard's ops must record while its own
-  // nested recorder is the stack top. Gather and tower math are per-row
-  // and region sharding is bitwise-exact, so the values match the pooled
-  // tape path bit for bit.
-  for (int64_t s = 0; s < num_shards; ++s) {
-    PlanShard& shard = plan->shards[s];
-    shard.lo = s * grain;
-    shard.hi = std::min(b, shard.lo + grain);
-    shard.lengths = std::make_shared<std::vector<int64_t>>(
-        lengths.begin() + shard.lo, lengths.begin() + shard.hi);
-    if (replicated && s > 0) {
-      shard.replica = replicas_[s - 1].get();
-      shard.tower = shard.replica;
-    } else {
-      shard.tower = primary_;
-    }
-    const int64_t rows = shard.hi - shard.lo;
-    nn::ProgramRecorder shard_rec;
-    shard_rec.RegisterIdsAlias(shard.lengths);
-    Tensor vals({rows, l, d});
-    for (int64_t r = shard.lo; r < shard.hi; ++r) {
-      for (int64_t t = 0; t < l; ++t) {
-        const int64_t id = history_ids[r * l + t];
-        if (id == nn::kPadId) continue;
-        UM_CHECK_GE(id, 0);
-        UM_CHECK_LT(id, v);
-        const float* src = table.data() + id * d;
-        float* dst = vals.data() + ((r - shard.lo) * l + t) * d;
-        std::copy(src, src + d, dst);
-      }
-    }
-    shard.seq = nn::Variable(std::move(vals), /*requires_grad=*/true);
-    shard_rec.TrackNode(shard.seq.node());
-    shard.out = shard.tower->EncodeFromEmbedded(shard.seq, *shard.lengths,
-                                                /*dropout_rng=*/nullptr);
-    shard.program = shard_rec.Finish(shard.out);
-    if (!shard.program->replayable()) {
-      // Every shard runs the same tower, so the first shard already tells
-      // the story: tombstone the outer recording and rebuild on the tape.
-      rec->MarkFallback("sharded tower op not replayable");
-      return nn::Variable();
-    }
-  }
-
-  // Detached heads, retained by the plan across replays. A head's value
-  // shares the shard output's storage, so the forward replay refreshes it
-  // in place with no copy.
-  std::vector<nn::Variable> heads;
-  heads.reserve(num_shards);
-  for (PlanShard& shard : plan->shards) {
-    shard.head = nn::Variable(shard.out.value(), /*requires_grad=*/true);
-    rec->TrackNode(shard.head.node());
-    heads.push_back(shard.head);
-  }
-
-  rec->RecordExternalForward([this, plan] { ReplayPlanForward(plan.get()); });
-  rec->RecordFinishBackward([this, plan] { FinishPlanBackward(plan.get()); });
-
-  // Mirror the plan into the tape-step bookkeeping: the record step itself
-  // still completes through the regular FinishBackward() on these live
-  // graphs (the plan keeps its own handles for later replays).
-  history_ids_ = &history_ids;
-  seq_len_ = l;
-  use_dropout_ = false;
-  shards_.clear();
-  shards_.resize(num_shards);
-  for (int64_t s = 0; s < num_shards; ++s) {
-    Shard& tape_shard = shards_[s];
-    const PlanShard& plan_shard = plan->shards[s];
-    tape_shard.lo = plan_shard.lo;
-    tape_shard.hi = plan_shard.hi;
-    tape_shard.lengths = *plan_shard.lengths;
-    tape_shard.seq = plan_shard.seq;
-    tape_shard.out = plan_shard.out;
-    tape_shard.head = plan_shard.head;
-  }
-  UM_GAUGE_SET("train.pipeline.shards", static_cast<double>(num_shards));
-  return nn::ConcatRowsN(heads);
-}
-
-void ShardedUserEncoder::ReplayPlanForward(Plan* plan) {
-  const Tensor& table = primary_->user_lookup_table().value();
-  const int64_t v = table.dim(0), d = table.dim(1);
-  const int64_t l = plan->seq_len;
-  const std::vector<int64_t>& ids = *plan->ids;
-  const std::vector<int64_t>& lengths = *plan->batch_lengths;
-  const int64_t num_shards = static_cast<int64_t>(plan->shards.size());
-  const int64_t b = plan->shards.back().hi;
-  UM_CHECK_EQ(static_cast<int64_t>(lengths.size()), b);
-  UM_CHECK_EQ(static_cast<int64_t>(ids.size()), b * l);
-  // Shard-length refresh happens on the calling thread, in shard order,
-  // before the pooled replay reads them.
-  for (PlanShard& shard : plan->shards) {
-    shard.lengths->assign(lengths.begin() + shard.lo,
-                          lengths.begin() + shard.hi);
-  }
-  pool_.ParallelFor(
-      0, num_shards,
-      [&](int64_t s) {
-        PlanShard& shard = plan->shards[s];
-        // Re-gather into the retained seq leaf, pad rows back to zero —
-        // exactly what the tape gather produces for the new ids.
-        Tensor& vals = shard.seq.mutable_value();
-        vals.SetZero();
-        for (int64_t r = shard.lo; r < shard.hi; ++r) {
-          for (int64_t t = 0; t < l; ++t) {
-            const int64_t id = ids[r * l + t];
-            if (id == nn::kPadId) continue;
-            UM_CHECK_GE(id, 0);
-            UM_CHECK_LT(id, v);
-            const float* src = table.data() + id * d;
-            float* dst = vals.data() + ((r - shard.lo) * l + t) * d;
-            std::copy(src, src + d, dst);
-          }
-        }
-        shard.program->ReplayForward();
-      },
-      /*min_shard=*/1);
-  UM_GAUGE_SET("train.pipeline.shards", static_cast<double>(num_shards));
-}
-
-void ShardedUserEncoder::FinishPlanBackward(Plan* plan) {
-  const int64_t num_shards = static_cast<int64_t>(plan->shards.size());
-  // Shard programs are disjoint, so their backward replays run
-  // concurrently, just like the tape path's per-shard BackwardFrom.
-  pool_.ParallelFor(
-      0, num_shards,
-      [&](int64_t s) {
-        PlanShard& shard = plan->shards[s];
-        // Replay always seeds the root, and ConcatRowsN's backward
-        // deposits into every head.
-        UM_CHECK(shard.head.grad_defined());
-        shard.program->ReplayBackwardFrom(shard.head.grad());
-      },
-      /*min_shard=*/1);
-
-  // Table scatter, identical to the tape path: one dense gradient, rows
-  // folded in ascending global order, one AccumulateGrad after the main
-  // backward's item/negative scatters.
-  const nn::Variable& table_var = primary_->user_lookup_table();
-  const int64_t d = table_var.dim(1);
-  const std::vector<int64_t>& ids = *plan->ids;
-  Tensor g(table_var.shape());
-  bool any = false;
-  for (const PlanShard& shard : plan->shards) {
-    if (!shard.seq.grad_defined()) continue;
-    any = true;
-    const Tensor& sg = shard.seq.grad();
-    for (int64_t r = shard.lo; r < shard.hi; ++r) {
-      for (int64_t t = 0; t < plan->seq_len; ++t) {
-        const int64_t id = ids[r * plan->seq_len + t];
-        if (id == nn::kPadId) continue;
-        const float* src =
-            sg.data() + ((r - shard.lo) * plan->seq_len + t) * d;
-        float* dst = g.data() + id * d;
-        for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-      }
-    }
-  }
-  if (any) table_var.node()->AccumulateGrad(std::move(g));
-
-  // Replica gradient fold in ascending shard order, then reset — the
-  // replay-side equivalent of the tape path's fold + ZeroGrad.
-  std::vector<nn::NamedParameter> prim;
-  for (PlanShard& shard : plan->shards) {
-    if (shard.replica == nullptr) continue;
-    if (prim.empty()) prim = primary_->Parameters();
-    std::vector<nn::NamedParameter> rep = shard.replica->Parameters();
-    UM_CHECK_EQ(rep.size(), prim.size());
-    for (size_t k = 0; k < rep.size(); ++k) {
-      if (!rep[k].variable.grad_defined()) continue;
-      prim[k].variable.node()->AccumulateGrad(rep[k].variable.grad());
-    }
-    shard.replica->ZeroGrad();
-  }
 }
 
 }  // namespace unimatch::train

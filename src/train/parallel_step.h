@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/model/two_tower.h"
-#include "src/nn/program.h"
 #include "src/util/threadpool.h"
 
 namespace unimatch::train {
@@ -54,14 +53,6 @@ class ShardedUserEncoder {
   /// until FinishBackward() returns (the table scatter replays it).
   /// `step_rng` is consumed only when the model uses dropout — one seed
   /// draw per shard, in shard order, on the calling thread.
-  ///
-  /// Under an active ProgramRecorder (the trainer's record step, no
-  /// dropout, ids/lengths bound as program slots) the shard subgraphs are
-  /// additionally recorded into per-shard Programs, stitched into the
-  /// outer recording as an external gather-and-forward stage plus a
-  /// finish-backward hook, so later same-shape steps replay the whole
-  /// sharded step without rebuilding any graph. The encoder must outlive
-  /// every program recorded through it.
   nn::Variable Encode(const std::vector<int64_t>& history_ids,
                       const std::vector<int64_t>& lengths, Rng* step_rng);
 
@@ -92,44 +83,6 @@ class ShardedUserEncoder {
   /// True when concurrent shard backwards would touch shared parameter
   /// nodes (extractor layers or attention pooling) and replicas are needed.
   bool NeedsReplicas() const;
-
-  /// Record-time state one recorded sharded step retains across replays:
-  /// the shard graphs (seq leaf -> tower output -> detached head), their
-  /// per-shard Programs, and the program-owned id/length slots the replay
-  /// closures re-read each step.
-  struct PlanShard {
-    int64_t lo = 0;  // batch row range [lo, hi)
-    int64_t hi = 0;
-    /// Stable per-shard length vector; registered as an ids alias in the
-    /// shard recording and refreshed from `batch_lengths` before replay.
-    std::shared_ptr<std::vector<int64_t>> lengths;
-    std::shared_ptr<nn::Program> program;
-    const model::TwoTowerModel* tower = nullptr;
-    /// Non-null when `tower` is a replica: the fold/reset half of the
-    /// backward replay needs mutable access.
-    model::TwoTowerModel* replica = nullptr;
-    nn::Variable seq;   // leaf: gathered [rows, L, d] embeddings
-    nn::Variable out;   // shard tower output [rows, d]
-    nn::Variable head;  // detached re-entry leaf in the main graph
-  };
-  struct Plan {
-    std::vector<PlanShard> shards;
-    /// The outer program's bound id/length slots (stable addresses).
-    std::shared_ptr<const std::vector<int64_t>> ids;
-    std::shared_ptr<const std::vector<int64_t>> batch_lengths;
-    int64_t seq_len = 0;
-  };
-
-  /// Builds the recorded plan for the current (record) step and registers
-  /// its replay closures on `rec`. Returns an undefined Variable — after
-  /// marking the recording fallen-back — when the step cannot be recorded.
-  nn::Variable EncodeRecorded(nn::ProgramRecorder* rec,
-                              const std::vector<int64_t>& history_ids,
-                              const std::vector<int64_t>& lengths);
-  /// Replay closures: re-gather + shard forward replay; shard backward
-  /// replay + table scatter + replica gradient fold.
-  void ReplayPlanForward(Plan* plan);
-  void FinishPlanBackward(Plan* plan);
 
   const model::TwoTowerModel* primary_;
   std::vector<std::unique_ptr<model::TwoTowerModel>> replicas_;

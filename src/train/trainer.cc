@@ -1,8 +1,6 @@
 #include "src/train/trainer.h"
 
-#include <chrono>
 #include <cmath>
-#include <optional>
 
 #include "src/data/batcher.h"
 #include "src/data/prefetcher.h"
@@ -142,29 +140,6 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
     sharded_encoder_ =
         std::make_unique<ShardedUserEncoder>(model_, config_.num_threads);
   }
-  // Recorded-step execution (DESIGN.md §11): the first step of each shape
-  // records the tape pass into a Program; every later same-shape step binds
-  // the fresh batch into the program's input slots and replays — bitwise
-  // identical, zero graph construction. Dropout makes the recording a
-  // tombstone, so those steps stay on the tape without retrying.
-  const bool use_programs = nn::kProgramCacheEnabled && config_.use_program_cache;
-  const bool dropout_active = model_->config().dropout > 0.0f;
-  int64_t epoch_replay_steps = 0;
-  int64_t epoch_record_steps = 0;
-  using StepClock = std::chrono::steady_clock;
-  const auto observe_step = [](StepClock::time_point t0, bool replayed,
-                               bool recorded) {
-    const double ms =
-        std::chrono::duration<double, std::milli>(StepClock::now() - t0)
-            .count();
-    if (replayed) {
-      UM_HISTOGRAM_OBSERVE("exec.program.replay.ms", ms);
-    } else if (recorded) {
-      UM_HISTOGRAM_OBSERVE("exec.program.record.ms", ms);
-    } else {
-      UM_HISTOGRAM_OBSERVE("exec.program.tape.ms", ms);
-    }
-  };
   // Routes the row-local op loops (softmax, normalize, optimizer updates)
   // through the step pool for the duration of the epoch. A null region is
   // the plain serial behavior.
@@ -196,83 +171,12 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
     const int s = config_.ssm_num_negatives;
     while (prefetch ? prefetch->Next(&batch) : it.Next(&batch)) {
       UM_SCOPED_TIMER("train.step.ms");
-      const auto step_start = StepClock::now();
-      nn::ProgramKey key;
-      std::shared_ptr<nn::Program> program;
-      if (use_programs) {
-        const int64_t bsz = batch.batch_size;
-        key = nn::ProgramKey::Make(
-            "train.step",
-            {static_cast<int64_t>(config_.loss), bsz,
-             bsz > 0 ? static_cast<int64_t>(batch.history_ids.size()) / bsz
-                     : 0,
-             ssm ? s : 0, parallel ? 1 : 0, dropout_active ? 1 : 0});
-        program = program_cache_.Lookup(key);
-      }
-      if (program && program->replayable()) {
-        // Steady state: refresh the program's input slots from this batch
-        // and replay. The SSM sampling is hoisted ahead of the encoders —
-        // with dropout off (implied by replayable) nothing else consumes
-        // rng_ in a step, so the RNG stream matches the tape order.
-        if (ssm) {
-          for (int k = 0; k < s; ++k) {
-            const int64_t slot = ssm_sampler_.Sample(&rng_);
-            neg_ids[k] = ssm_items_[slot];
-            log_q_neg.at(k) = ssm_log_q_[slot];
-          }
-          if (log_q_pos.numel() != batch.batch_size ||
-              log_q_pos.rank() != 1) {
-            log_q_pos = Tensor::Empty({batch.batch_size});
-          }
-          for (int64_t r = 0; r < batch.batch_size; ++r) {
-            log_q_pos.at(r) = batch.log_pi.at(r);
-          }
-          program->BindIds("ssm.neg_ids", neg_ids);
-          program->BindInput("ssm.log_q_pos", log_q_pos);
-          program->BindInput("ssm.log_q_neg", log_q_neg);
-        } else {
-          program->BindInput("loss.log_pu", batch.log_pu);
-          program->BindInput("loss.log_pi", batch.log_pi);
-        }
-        program->BindIds("user.ids", batch.history_ids);
-        program->BindIds("user.len", batch.lengths);
-        program->BindIds("item.ids", batch.targets);
-        program->ReplayStep();
-        UM_CHECK_FINITE(program->root_value())
-            << loss::LossKindToString(config_.loss) << " loss at step "
-            << total_steps_;
-        if (config_.grad_clip > 0.0f) {
-          optimizer_->ClipAndStep(config_.grad_clip);
-        } else {
-          optimizer_->Step();
-        }
-        optimizer_->ZeroGrad();
-        records_processed_ += batch.batch_size + (ssm ? s : 0);
-        loss_sum += program->root_value().item();
-        ++epoch_replay_steps;
-        observe_step(step_start, /*replayed=*/true, /*recorded=*/false);
-        ++loss_count;
-        ++total_steps_;
-        continue;
-      }
-      // Tape step; additionally records a new program on a cache miss (a
-      // tombstone hit — dropout or an opaque op at this shape — stays
-      // tape-only without re-recording).
-      const bool record = use_programs && program == nullptr;
-      std::optional<nn::ProgramRecorder> rec;
-      if (record) rec.emplace();
-      const std::vector<int64_t>* uids = &batch.history_ids;
-      const std::vector<int64_t>* ulen = &batch.lengths;
-      const std::vector<int64_t>* tids = &batch.targets;
-      if (rec) {
-        uids = &rec->BindIds("user.ids", batch.history_ids);
-        ulen = &rec->BindIds("user.len", batch.lengths);
-        tids = &rec->BindIds("item.ids", batch.targets);
-      }
-      nn::Variable users = parallel
-                               ? sharded_encoder_->Encode(*uids, *ulen, &rng_)
-                               : model_->EncodeUsers(*uids, *ulen, &rng_);
-      nn::Variable items = model_->EncodeItems(*tids);
+      nn::Variable users =
+          parallel ? sharded_encoder_->Encode(batch.history_ids,
+                                              batch.lengths, &rng_)
+                   : model_->EncodeUsers(batch.history_ids, batch.lengths,
+                                         &rng_);
+      nn::Variable items = model_->EncodeItems(batch.targets);
       nn::Variable loss_var;
       if (ssm) {
         for (int k = 0; k < s; ++k) {
@@ -288,39 +192,21 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
           // empirical marginal.
           log_q_pos.at(r) = batch.log_pi.at(r);
         }
-        const std::vector<int64_t>* nids = &neg_ids;
-        const Tensor* lqp = &log_q_pos;
-        const Tensor* lqn = &log_q_neg;
-        if (rec) {
-          nids = &rec->BindIds("ssm.neg_ids", neg_ids);
-          lqp = &rec->BindInput("ssm.log_q_pos", log_q_pos);
-          lqn = &rec->BindInput("ssm.log_q_neg", log_q_neg);
-        }
-        nn::Variable neg_items = model_->EncodeItems(*nids);
+        nn::Variable neg_items = model_->EncodeItems(neg_ids);
         nn::Variable pos_scores = model_->ScorePairs(users, items);
         nn::Variable neg_scores = model_->ScoreMatrix(users, neg_items);
-        loss_var = loss::SampledSoftmaxLoss(pos_scores, neg_scores, *lqp,
-                                            *lqn);
+        loss_var = loss::SampledSoftmaxLoss(pos_scores, neg_scores, log_q_pos,
+                                            log_q_neg);
         records_processed_ += batch.batch_size + s;
       } else {
-        const Tensor* lpu = &batch.log_pu;
-        const Tensor* lpi = &batch.log_pi;
-        if (rec) {
-          lpu = &rec->BindInput("loss.log_pu", batch.log_pu);
-          lpi = &rec->BindInput("loss.log_pi", batch.log_pi);
-        }
         nn::Variable scores = model_->ScoreMatrix(users, items);
-        loss_var = loss::NceFamilyLoss(scores, *lpu, *lpi,
+        loss_var = loss::NceFamilyLoss(scores, batch.log_pu, batch.log_pi,
                                        loss::SettingsFor(config_.loss));
         records_processed_ += batch.batch_size;
       }
       UM_CHECK_FINITE(loss_var.value())
           << loss::LossKindToString(config_.loss) << " loss at step "
           << total_steps_;
-      if (rec) {
-        program_cache_.Insert(key, rec->Finish(loss_var));
-        ++epoch_record_steps;
-      }
       nn::Backward(loss_var);
       if (parallel) sharded_encoder_->FinishBackward();
       if (config_.grad_clip > 0.0f) {
@@ -329,7 +215,6 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
       optimizer_->Step();
       optimizer_->ZeroGrad();
       loss_sum += loss_var.value().item();
-      observe_step(step_start, /*replayed=*/false, /*recorded=*/record);
       ++loss_count;
       ++total_steps_;
     }
@@ -368,69 +253,16 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
     while (prefetch ? prefetch->Next(&batch, &labels)
                     : produce_next(&batch, &labels)) {
       UM_SCOPED_TIMER("train.step.ms");
-      const auto step_start = StepClock::now();
-      nn::ProgramKey key;
-      std::shared_ptr<nn::Program> program;
-      if (use_programs) {
-        const int64_t bsz = batch.batch_size;
-        key = nn::ProgramKey::Make(
-            "train.step",
-            {static_cast<int64_t>(config_.loss), bsz,
-             bsz > 0 ? static_cast<int64_t>(batch.history_ids.size()) / bsz
-                     : 0,
-             0, parallel ? 1 : 0, dropout_active ? 1 : 0});
-        program = program_cache_.Lookup(key);
-      }
-      if (program && program->replayable()) {
-        // Steady state: rebind this batch (the negatives were already drawn
-        // by the producer, so replay leaves rng_ exactly where the tape
-        // step would) and replay the recorded pass.
-        program->BindIds("user.ids", batch.history_ids);
-        program->BindIds("user.len", batch.lengths);
-        program->BindIds("item.ids", batch.targets);
-        program->BindInput("loss.labels", labels);
-        program->ReplayStep();
-        UM_CHECK_FINITE(program->root_value())
-            << "BCE loss at step " << total_steps_;
-        if (config_.grad_clip > 0.0f) {
-          optimizer_->ClipAndStep(config_.grad_clip);
-        } else {
-          optimizer_->Step();
-        }
-        optimizer_->ZeroGrad();
-        records_processed_ += batch.batch_size;
-        loss_sum += program->root_value().item();
-        ++epoch_replay_steps;
-        observe_step(step_start, /*replayed=*/true, /*recorded=*/false);
-        ++loss_count;
-        ++total_steps_;
-        continue;
-      }
-      const bool record = use_programs && program == nullptr;
-      std::optional<nn::ProgramRecorder> rec;
-      if (record) rec.emplace();
-      const std::vector<int64_t>* uids = &batch.history_ids;
-      const std::vector<int64_t>* ulen = &batch.lengths;
-      const std::vector<int64_t>* tids = &batch.targets;
-      const Tensor* plabels = &labels;
-      if (rec) {
-        uids = &rec->BindIds("user.ids", batch.history_ids);
-        ulen = &rec->BindIds("user.len", batch.lengths);
-        tids = &rec->BindIds("item.ids", batch.targets);
-        plabels = &rec->BindInput("loss.labels", labels);
-      }
-      nn::Variable users = parallel
-                               ? sharded_encoder_->Encode(*uids, *ulen, &rng_)
-                               : model_->EncodeUsers(*uids, *ulen, &rng_);
-      nn::Variable items = model_->EncodeItems(*tids);
+      nn::Variable users =
+          parallel ? sharded_encoder_->Encode(batch.history_ids,
+                                              batch.lengths, &rng_)
+                   : model_->EncodeUsers(batch.history_ids, batch.lengths,
+                                         &rng_);
+      nn::Variable items = model_->EncodeItems(batch.targets);
       nn::Variable scores = model_->ScorePairs(users, items);
-      nn::Variable loss_var = loss::BceLoss(scores, *plabels);
+      nn::Variable loss_var = loss::BceLoss(scores, labels);
       UM_CHECK_FINITE(loss_var.value())
           << "BCE loss at step " << total_steps_;
-      if (rec) {
-        program_cache_.Insert(key, rec->Finish(loss_var));
-        ++epoch_record_steps;
-      }
       nn::Backward(loss_var);
       if (parallel) sharded_encoder_->FinishBackward();
       if (config_.grad_clip > 0.0f) {
@@ -440,16 +272,11 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
       optimizer_->ZeroGrad();
       records_processed_ += batch.batch_size;
       loss_sum += loss_var.value().item();
-      observe_step(step_start, /*replayed=*/false, /*recorded=*/record);
       ++loss_count;
       ++total_steps_;
     }
   }
   last_epoch_loss_ = loss_count > 0 ? loss_sum / loss_count : 0.0;
-  replay_steps_ += epoch_replay_steps;
-  record_steps_ += epoch_record_steps;
-  UM_GAUGE_SET("train.exec.replay_steps", epoch_replay_steps);
-  UM_GAUGE_SET("train.exec.record_steps", epoch_record_steps);
   UM_COUNTER_ADD("train.steps", loss_count);
   UM_COUNTER_ADD("train.records", records_processed_ - records_before);
   UM_GAUGE_SET("train.epoch.loss", last_epoch_loss_);

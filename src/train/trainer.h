@@ -14,7 +14,6 @@
 #include "src/loss/losses.h"
 #include "src/model/two_tower.h"
 #include "src/nn/optimizer.h"
-#include "src/nn/program.h"
 
 namespace unimatch::train {
 
@@ -46,12 +45,6 @@ struct TrainConfig {
   /// training is deterministic for a given (seed, num_threads) — and, for
   /// extractor-free towers without dropout, bitwise identical to serial.
   int num_threads = 1;
-  /// Record each distinct-shape training step into a replayable Program and
-  /// replay it on every later step with the same shape key — bitwise
-  /// identical to the tape step it was recorded from (DESIGN.md §11). The
-  /// dynamic tape stays the recording/fallback engine: dropout and shape
-  /// changes transparently fall back. false pins every step to the tape.
-  bool use_program_cache = true;
   uint64_t seed = 99;
   bool verbose = false;
 };
@@ -89,15 +82,6 @@ class Trainer {
   /// is the paper's 2x data multiplier).
   int64_t records_processed() const { return records_processed_; }
 
-  /// Steps executed by replaying a cached program / by recording a new one.
-  /// Every other step ran on the plain tape.
-  int64_t replay_steps() const { return replay_steps_; }
-  int64_t record_steps() const { return record_steps_; }
-  /// Hit/miss/insert/evict counts of the training-step program cache.
-  nn::ProgramCache::Stats program_cache_stats() const {
-    return program_cache_.stats();
-  }
-
   const TrainConfig& config() const { return config_; }
 
  private:
@@ -113,10 +97,6 @@ class Trainer {
   std::unique_ptr<data::BceNegativeSampler> bce_sampler_;
   /// Lazily built when config_.num_threads > 1.
   std::unique_ptr<ShardedUserEncoder> sharded_encoder_;
-  /// Shape-keyed recorded training steps. Declared after sharded_encoder_:
-  /// recorded sharded steps hold closures into the encoder, so the cache
-  /// must be destroyed first (reverse member order).
-  nn::ProgramCache program_cache_;
 
   // SSM proposal distribution (item unigram over training targets).
   AliasSampler ssm_sampler_;
@@ -126,8 +106,6 @@ class Trainer {
   double last_epoch_loss_ = 0.0;
   int64_t total_steps_ = 0;
   int64_t records_processed_ = 0;
-  int64_t replay_steps_ = 0;
-  int64_t record_steps_ = 0;
 };
 
 }  // namespace unimatch::train

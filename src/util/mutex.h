@@ -15,7 +15,7 @@
 //     only acquire mutexes in ascending rank order. The first out-of-order
 //     acquisition anywhere — even one that happens to win the race this
 //     run — aborts with both lock names. Compiled out entirely with
-//     -DUNIMATCH_LOCK_RANKS=OFF (the build_with_lock_ranks_off ctest keeps
+//     -DUNIMATCH_LOCK_RANKS=OFF (the build_with_switches_off ctest keeps
 //     that configuration compiling).
 //
 // Lock-rank table (ascending = allowed acquisition order; a thread holding
@@ -24,7 +24,6 @@
 //
 //   rank | constant                | mutex
 //   -----+-------------------------+------------------------------------
-//     5  | lockrank::kProgramExec  | model inference program execution
 //    10  | lockrank::kThreadPool   | util/threadpool queue mutex
 //    20  | lockrank::kBufferPool   | tensor/storage free-list mutex
 //    30  | lockrank::kPrefetcher   | data/prefetcher staging mutex
@@ -33,18 +32,11 @@
 //    50  | lockrank::kFrontend     | serving/frontend admission queue
 //    60  | lockrank::kObsTrace     | obs/trace event ring
 //    61  | lockrank::kObsMetrics   | obs/metrics registry
-//    70  | lockrank::kProgramCache | nn/program cache map
 //
 // The order follows the dependency layering (DESIGN.md §7): lower layers
 // never call back up into higher ones while holding their lock, and any
-// layer may emit obs metrics while locked (obs ranks highest, except the
-// program-cache map lock, whose critical sections touch nothing but the
-// entry vector — exec.program.* counters are emitted after release).
-// kProgramExec ranks *lowest* because replaying a recorded program does
-// everything a model forward does — submits thread-pool work, allocates
-// through the buffer pool, emits metrics — so the exec lock must be
-// acquirable before all of those. How to pick a rank for a new lock:
-// docs/STATIC_ANALYSIS.md §Thread-safety analysis.
+// layer may emit obs metrics while locked (obs ranks highest). How to pick
+// a rank for a new lock: docs/STATIC_ANALYSIS.md §Thread-safety analysis.
 
 #ifndef UNIMATCH_UTIL_MUTEX_H_
 #define UNIMATCH_UTIL_MUTEX_H_
@@ -62,7 +54,6 @@ namespace lockrank {
 
 // Keep this list in sync with the table above and the one in
 // docs/STATIC_ANALYSIS.md. Gaps are deliberate headroom for new locks.
-inline constexpr int kProgramExec = 5;
 inline constexpr int kThreadPool = 10;
 inline constexpr int kBufferPool = 20;
 inline constexpr int kPrefetcher = 30;
@@ -71,7 +62,6 @@ inline constexpr int kHnswNode = 41;
 inline constexpr int kFrontend = 50;
 inline constexpr int kObsTrace = 60;
 inline constexpr int kObsMetrics = 61;
-inline constexpr int kProgramCache = 70;
 
 }  // namespace lockrank
 

@@ -111,6 +111,17 @@ TEST_F(EngineFixture, TargetUsersWorksAndValidates) {
   EXPECT_TRUE(engine().TargetUsers(80, 5).status().IsNotFound());
 }
 
+TEST_F(EngineFixture, QueriesRejectNonPositiveN) {
+  for (const int n : {0, -3}) {
+    EXPECT_TRUE(engine().TargetUsers(5, n).status().IsInvalidArgument());
+    EXPECT_TRUE(engine().RecommendItems(0, n).status().IsInvalidArgument());
+    EXPECT_TRUE(engine()
+                    .RecommendItemsForHistory({3, 7}, n)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
 TEST_F(EngineFixture, RecommendationConsistentWithEmbeddingScores) {
   // The ANN result must equal the max dot product over item embeddings.
   auto rec = engine().RecommendItemsForHistory({3, 7}, 1);

@@ -106,6 +106,47 @@ TEST(SerializeTest, CorruptMagicRejected) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, OversizedNameLengthRejected) {
+  // A header that claims a 4 GiB parameter name in a 20-byte file must fail
+  // on the file size, before any allocation of that size.
+  const std::string path = TempPath("oversized_name.ckpt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const uint32_t format = 1;
+  const uint64_t count = 1;
+  const uint32_t name_len = 0xFFFFFFFFu;
+  std::fwrite("UMCK", 4, 1, f);
+  std::fwrite(&format, sizeof(format), 1, f);
+  std::fwrite(&count, sizeof(count), 1, f);
+  std::fwrite(&name_len, sizeof(name_len), 1, f);
+  std::fclose(f);
+  Variable a(Tensor({2}), true);
+  std::vector<NamedParameter> params = {{"a", a}};
+  EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, OversizedShapeRejected) {
+  // One parameter whose dims multiply past int64: rejected as corrupt
+  // instead of overflowing the element count.
+  Variable a(Tensor({2}), true);
+  std::vector<NamedParameter> params = {{"a", a}};
+  const std::string path = TempPath("oversized_shape.ckpt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const uint32_t format = 1, name_len = 1, rank = 2;
+  const uint64_t count = 1;
+  const int64_t dims[2] = {int64_t{1} << 40, int64_t{1} << 40};
+  std::fwrite("UMCK", 4, 1, f);
+  std::fwrite(&format, sizeof(format), 1, f);
+  std::fwrite(&count, sizeof(count), 1, f);
+  std::fwrite(&name_len, sizeof(name_len), 1, f);
+  std::fwrite("a", 1, 1, f);
+  std::fwrite(&rank, sizeof(rank), 1, f);
+  std::fwrite(dims, sizeof(dims), 1, f);
+  std::fclose(f);
+  EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, SnapshotRestoreRoundtrip) {
   Rng rng(6);
   Variable a(Tensor::Randn({3}, 1.0f, &rng), true);

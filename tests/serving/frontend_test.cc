@@ -628,6 +628,57 @@ TEST_F(EngineSnapshotFixture, QuantizedFromEngineAgreesOnTopItems) {
       << overlap << "/" << total;
 }
 
+TEST(EngineSnapshotRefreshTest, PublishedSnapshotSurvivesRefresh) {
+  data::SyntheticConfig cfg;
+  cfg.num_users = 200;
+  cfg.num_items = 40;
+  cfg.num_months = 4;
+  cfg.target_interactions = 3000;
+  cfg.seed = 5;
+  const data::InteractionLog log = data::GenerateSynthetic(cfg);
+  core::EngineConfig ec;
+  ec.model.embedding_dim = 8;
+  ec.train.epochs_per_month = 1;
+  core::UniMatchEngine engine(ec);
+  ASSERT_TRUE(engine.Fit(log).ok());
+  auto before = EngineSnapshot::FromEngine(engine, 1);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  auto answers = [](const EngineSnapshot& snap) {
+    std::vector<std::vector<core::Scored>> out;
+    for (int64_t id = 0; id < 20; ++id) {
+      auto ir = snap.RecommendItems(id, 5);
+      auto ut = snap.TargetUsers(id, 5);
+      if (ir.ok()) out.push_back(*ir);
+      if (ut.ok()) out.push_back(*ut);
+    }
+    return out;
+  };
+  const auto expected = answers(**before);
+  ASSERT_FALSE(expected.empty());
+
+  // The refresh replaces the engine's indexes and tables; the snapshot
+  // shares the old generation and must keep answering from it.
+  ASSERT_TRUE(engine.FitIncrementalMonth(log, engine.splits()->test_month - 1)
+                  .ok());
+  const auto after_refresh = answers(**before);
+  ASSERT_EQ(after_refresh.size(), expected.size());
+  for (size_t q = 0; q < expected.size(); ++q) {
+    ASSERT_EQ(after_refresh[q].size(), expected[q].size());
+    for (size_t i = 0; i < expected[q].size(); ++i) {
+      EXPECT_EQ(after_refresh[q][i].id, expected[q][i].id);
+      EXPECT_EQ(after_refresh[q][i].score, expected[q][i].score);
+    }
+  }
+
+  auto next = EngineSnapshot::FromEngine(engine, 2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(AllClose((*next)->item_embeddings(),
+                        (*before)->item_embeddings(), 0.0f, 0.0f));
+  EXPECT_FALSE(AllClose((*next)->user_embeddings(),
+                        (*before)->user_embeddings(), 0.0f, 0.0f));
+}
+
 TEST_F(EngineSnapshotFixture, FrontendServesEngineSnapshot) {
   SnapshotPublisher publisher;
   auto snap = EngineSnapshot::FromEngine(engine(), 1);

@@ -41,6 +41,24 @@ TEST(EmbeddingStoreTest, RejectsCorruptFile) {
   std::remove(path.c_str());
 }
 
+TEST(EmbeddingStoreTest, OversizedHeaderIsIOErrorNotAllocation) {
+  // A 32-byte file whose first matrix header claims 2^36 x 16 floats: the
+  // loader must refuse it from the file size, not try to allocate 4 TiB.
+  const std::string path = TempPath("oversized.bin");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const uint32_t format = 1;
+  const int64_t version = 1;
+  const int64_t dims[2] = {int64_t{1} << 36, 16};
+  std::fwrite("UMEB", 4, 1, f);
+  std::fwrite(&format, sizeof(format), 1, f);
+  std::fwrite(&version, sizeof(version), 1, f);
+  std::fwrite(dims, sizeof(dims), 1, f);
+  ASSERT_EQ(std::ftell(f), 32);
+  std::fclose(f);
+  EXPECT_TRUE(LoadEmbeddings(path).status().IsIOError());
+  std::remove(path.c_str());
+}
+
 TEST(EmbeddingStoreTest, MissingFileIsIOError) {
   EXPECT_TRUE(LoadEmbeddings("/no/such/file").status().IsIOError());
 }

@@ -16,11 +16,7 @@
 #      hard-gates recall@10 >= 0.95 (int8 flat and IVF-PQ vs the exact
 #      f32 scan) and >= 3x int8 table compression; latency is recorded
 #      in BENCH_quant.json, never gated
-#   8. program bench smoke: bench_program_cache in UNIMATCH_BENCH_SMOKE
-#      mode — hard-gates bitwise tape/replay parity (losses, metrics,
-#      inference embeddings) and a >= 99% steady-state cache hit rate;
-#      step latency and speedup land in BENCH_program.json, never gated
-#   9. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
+#   8. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
 #      mode — hard-gates MultiSearch/Search bitwise parity across all six
 #      ANN backends, zero pool acquires per steady-state query, and a
 #      >= 2x batch-32 speedup for the flat and quantized-flat scans;
@@ -106,13 +102,6 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # >= 0.95 against the exact f32 scan and the int8 table is >= 3x smaller
   # per row. Latency lands in BENCH_quant.json but is never gated here.
   (cd build/bench && UNIMATCH_BENCH_SMOKE=1 ./bench_quant)
-
-  stage "program bench smoke (bench_program_cache)"
-  cmake --build --preset release -j "$JOBS" --target bench_program_cache
-  # Hard gate: replayed training runs and inference embeddings must match
-  # the tape bitwise, and the steady-state cache hit rate must be >= 0.99.
-  # Speedup/dispatch-overhead land in BENCH_program.json, never gated here.
-  (cd build/bench && UNIMATCH_BENCH_SMOKE=1 ./bench_program_cache)
 
   stage "batch-exec bench smoke (bench_batch_exec)"
   cmake --build --preset release -j "$JOBS" --target bench_batch_exec

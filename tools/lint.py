@@ -32,12 +32,6 @@ Rules (see docs/STATIC_ANALYSIS.md):
                   rows only convert through QuantizedMatrix — i8_row/
                   f16_row/f32_row/DequantizeRow — never by repunning the
                   bytes; the code layout is src/tensor/quant.cc's business)
-  graph-node      no VarNode construction (new VarNode /
-                  make_shared<VarNode>) outside src/nn/ — graph nodes are
-                  the tape's business; building one elsewhere bypasses the
-                  program recorder (src/nn/program.h) and produces graphs
-                  the recorded executor cannot see. Go through the nn:: op
-                  layer (or Variable's constructors) instead.
   ann-search-container
                   no std::unordered_set/std::priority_queue in src/ann/
                   outside workspace.h/.cc — search-path containers belong
@@ -59,7 +53,7 @@ LINT_DIRS = ("src", "tests", "bench", "examples")
 
 RULES = ("include-guard", "include-cc", "naked-new", "cout", "raw-thread",
          "tensor-storage", "naked-mutex", "std-lock", "quant-cast",
-         "graph-node", "ann-search-container")
+         "ann-search-container")
 
 _NOLINT_RE = re.compile(r"NOLINT\(([a-z-]+)\)")
 _INCLUDE_CC_RE = re.compile(r'^\s*#\s*include\s+["<][^">]*\.cc[">]')
@@ -77,9 +71,6 @@ _STD_LOCK_RE = re.compile(r"\bstd::(?:lock_guard|unique_lock|scoped_lock)\b")
 _QUANT_CAST_RE = re.compile(
     r"reinterpret_cast\s*<\s*(?:const\s+)?"
     r"(?:float|(?:std::)?(?:u?int8_t|uint16_t))\s*\*\s*>")
-_GRAPH_NODE_RE = re.compile(
-    r"\bmake_shared\s*<\s*(?:unimatch::)?(?:nn::)?VarNode\b"
-    r"|\bnew\s+(?:unimatch::)?(?:nn::)?VarNode\b")
 _ANN_CONTAINER_RE = re.compile(r"\bstd::(?:unordered_set|priority_queue)\b")
 
 
@@ -153,7 +144,6 @@ def check_file(relpath, text, errors):
     code_lines = strip_comments_and_strings(text).splitlines()
     in_src = relpath.startswith("src/")
     in_tensor = relpath.startswith("src/tensor/")
-    in_nn = relpath.startswith("src/nn/")
     is_threadpool = relpath in ("src/util/threadpool.h",
                                 "src/util/threadpool.cc")
     is_mutex_wrapper = relpath in ("src/util/mutex.h", "src/util/mutex.cc")
@@ -194,11 +184,6 @@ def check_file(relpath, text, errors):
         # Matched against the raw line: the stripper blanks the "..." path.
         if _INCLUDE_CC_RE.match(raw_lines[idx]):
             report(lineno, "include-cc", "never #include a .cc file")
-        if not in_nn and _GRAPH_NODE_RE.search(line):
-            report(lineno, "graph-node",
-                   "VarNode constructed outside src/nn/; graph nodes must "
-                   "come from the nn:: op layer so the program recorder "
-                   "(src/nn/program.h) sees them")
         if in_src:
             if not in_tensor:
                 if _NEW_RE.search(line):
@@ -297,8 +282,6 @@ def self_test():
         "quant-cast": ("src/ann/q.cc",
                        "const float* row = reinterpret_cast<const float*>"
                        "(codes.data());\n"),
-        "graph-node": ("src/train/p.cc",
-                       "auto n = std::make_shared<nn::VarNode>();\n"),
         "ann-search-container": ("src/ann/h.cc",
                                  "std::unordered_set<int64_t> visited;\n"),
     }
