@@ -220,8 +220,9 @@ static_assert(!kLockRanksEnabled,
               "rank-disabled build must compile the validator out");
 
 TEST(MutexRankDisabledTest, DescendingAcquireIsNotChecked) {
-  // With the registry compiled out the wrapper is a plain std::mutex; this
-  // smoke test is what build_with_lock_ranks_off exercises.
+  // With the registry compiled out the wrapper is a plain std::mutex. This
+  // smoke test runs in a test build with -DUNIMATCH_LOCK_RANKS=OFF, and the
+  // build_with_lock_ranks_off buildcheck runs the same check without gtest.
   Mutex high(lockrank::kFrontend, "test.frontend");
   Mutex low(lockrank::kThreadPool, "test.threadpool");
   MutexLock l1(&high);
