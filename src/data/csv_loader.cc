@@ -1,6 +1,7 @@
 #include "src/data/csv_loader.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -29,9 +30,13 @@ Result<int64_t> ParseTime(const std::string& field,
     case CsvFormat::TimeUnit::kDayIndex:
     case CsvFormat::TimeUnit::kUnixSeconds: {
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(field.c_str(), &end, 10);
       if (end == field.c_str() || *end != '\0') {
         return Status::InvalidArgument("bad time field: " + field);
+      }
+      if (errno == ERANGE) {  // strtoll clamped it to LLONG_MIN/MAX
+        return Status::InvalidArgument("time field out of range: " + field);
       }
       if (unit == CsvFormat::TimeUnit::kUnixSeconds) return v / 86400;
       return static_cast<int64_t>(v);
@@ -113,8 +118,11 @@ Result<LoadedLog> ParseCsvLog(std::istream& in, const CsvFormat& format) {
 
   out.log = InteractionLog(out.users.size(), out.items.size());
   for (const auto& r : raw) {
-    const int64_t day = r.day - min_day;
-    if (day > std::numeric_limits<Day>::max()) {
+    // r.day >= min_day, so the unsigned difference is the exact span even
+    // where the signed one would overflow (days at both ends of int64).
+    const uint64_t day =
+        static_cast<uint64_t>(r.day) - static_cast<uint64_t>(min_day);
+    if (day > static_cast<uint64_t>(std::numeric_limits<Day>::max())) {
       return Status::OutOfRange("time span too large (check time_unit)");
     }
     out.log.Add(r.user, r.item, static_cast<Day>(day));

@@ -74,6 +74,9 @@ Status LoadParameters(const std::string& path,
   std::unordered_map<std::string, Variable*> by_name;
   for (auto& p : *params) by_name[p.name] = &p.variable;
   std::unordered_map<std::string, bool> seen;
+  // Every record is read and checked into staging first; the model is only
+  // written once the whole file has passed, so a failed load changes nothing.
+  std::vector<std::pair<Variable*, std::vector<float>>> staged;
 
   // Every size below comes from the file, so each is checked against the
   // bytes actually left before anything is allocated for it.
@@ -122,9 +125,11 @@ Status LoadParameters(const std::string& path,
           ShapeToString(it->second->shape()).c_str(),
           ShapeToString(shape).c_str()));
     }
-    std::copy(data.begin(), data.end(),
-              it->second->mutable_value().data());
+    staged.emplace_back(it->second, std::move(data));
     seen[name] = true;
+  }
+  for (auto& [var, data] : staged) {
+    std::copy(data.begin(), data.end(), var->mutable_value().data());
   }
   if (missing != nullptr) {
     missing->clear();

@@ -26,7 +26,8 @@ Status SaveParameters(const std::vector<NamedParameter>& params,
                       const std::string& path);
 
 /// Reads a checkpoint and copies values into matching parameters. Fails if a
-/// checkpoint entry has no matching name or mismatched shape; parameters not
+/// checkpoint entry has no matching name or mismatched shape, or the file is
+/// corrupt; a failed load leaves every parameter unchanged. Parameters not
 /// present in the checkpoint are left untouched (and reported via the
 /// optional `missing` list).
 Status LoadParameters(const std::string& path,

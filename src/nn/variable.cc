@@ -1,14 +1,34 @@
 #include "src/nn/variable.h"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
 namespace unimatch::nn {
 
+namespace {
+
+// Dense [V, d] form of a row-sparse gradient. Omitted rows are +0.0f, the
+// value the dense scatter leaves in a row no id touched.
+Tensor RowsToDense(const std::vector<int64_t>& rows, const Tensor& block,
+                   const Shape& shape) {
+  Tensor dense(shape);
+  const int64_t d = shape[1];
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const float* src = block.data() + static_cast<int64_t>(k) * d;
+    std::copy(src, src + d, dense.data() + rows[k] * d);
+  }
+  return dense;
+}
+
+}  // namespace
+
 void VarNode::AccumulateGrad(const Tensor& g) {
   // Constants and pruned subgraphs never need storage for gradients.
   if (!requires_grad) return;
   UM_CHECK(g.same_shape(value));
+  DensifyGrad();
   if (!grad_defined) {
     // A buffer retained from a previous step (ZeroGrad keeps it) is reused
     // in place as long as nobody else still aliases it.
@@ -34,6 +54,75 @@ void VarNode::AccumulateGrad(Tensor&& g) {
   }
 }
 
+void VarNode::AccumulateRowGrad(std::vector<int64_t> rows, Tensor values) {
+  if (!requires_grad) return;
+  UM_CHECK_EQ(value.rank(), 2);
+  UM_CHECK_EQ(values.rank(), 2);
+  UM_CHECK_EQ(values.dim(0), static_cast<int64_t>(rows.size()));
+  UM_CHECK_EQ(values.dim(1), value.dim(1));
+  if (!grad_defined) {
+    grad = std::move(values);
+    grad_rows = std::move(rows);
+    grad_sparse = true;
+    grad_defined = true;
+    return;
+  }
+  if (!grad_sparse) {
+    // Rare (a dense contribution came first): add exactly what the dense
+    // scatter's [V, d] tensor would have added, zero rows included.
+    grad.AddInPlace(RowsToDense(rows, values, value.shape()));
+    return;
+  }
+  // Merge two ascending row sets. A row in both is a + b, which is what
+  // AddInPlace's alpha = 1 FMA rounds to; a row in one only is copied, as
+  // the dense add of a +0.0f row would leave it.
+  const int64_t d = value.dim(1);
+  const std::vector<int64_t>& a_rows = grad_rows;
+  std::vector<int64_t> merged;
+  merged.reserve(a_rows.size() + rows.size());
+  std::set_union(a_rows.begin(), a_rows.end(), rows.begin(), rows.end(),
+                 std::back_inserter(merged));
+  Tensor out = Tensor::Empty({static_cast<int64_t>(merged.size()), d});
+  size_t ia = 0, ib = 0;
+  for (size_t k = 0; k < merged.size(); ++k) {
+    float* dst = out.data() + static_cast<int64_t>(k) * d;
+    const bool in_a = ia < a_rows.size() && a_rows[ia] == merged[k];
+    const bool in_b = ib < rows.size() && rows[ib] == merged[k];
+    const float* a = in_a ? grad.data() + static_cast<int64_t>(ia++) * d
+                          : nullptr;
+    const float* b = in_b ? values.data() + static_cast<int64_t>(ib++) * d
+                          : nullptr;
+    if (a != nullptr && b != nullptr) {
+      for (int64_t j = 0; j < d; ++j) dst[j] = a[j] + b[j];
+    } else {
+      const float* src = a != nullptr ? a : b;
+      std::copy(src, src + d, dst);
+    }
+  }
+  grad = std::move(out);
+  grad_rows = std::move(merged);
+}
+
+void VarNode::AccumulateGradFrom(const VarNode& other) {
+  if (!other.grad_defined) return;
+  if (other.grad_sparse) {
+    AccumulateRowGrad(other.grad_rows, other.grad.Clone());
+  } else {
+    AccumulateGrad(other.grad);
+  }
+}
+
+Tensor VarNode::DenseGrad() const {
+  return grad_sparse ? RowsToDense(grad_rows, grad, value.shape()) : grad;
+}
+
+void VarNode::DensifyGrad() {
+  if (!grad_defined || !grad_sparse) return;
+  grad = RowsToDense(grad_rows, grad, value.shape());
+  grad_rows.clear();
+  grad_sparse = false;
+}
+
 Variable::Variable(Tensor value, bool requires_grad) {
   node_ = std::make_shared<VarNode>();
   node_->value = std::move(value);
@@ -45,6 +134,8 @@ void Variable::ZeroGrad() {
   node_->grad_defined = false;
   // The grad buffer itself is kept: the next AccumulateGrad overwrites it
   // in place, so parameters stop reallocating their gradients every step.
+  node_->grad_rows.clear();
+  node_->grad_sparse = false;
   node_->inputs.clear();
   node_->backward = nullptr;
 }
@@ -109,6 +200,7 @@ void RunBackward(VarNode* root_node, Tensor&& seed) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VarNode* node = *it;
     if (node->backward && node->grad_defined) {
+      node->DensifyGrad();  // backward closures read a dense grad
       node->backward(*node);
     }
   }

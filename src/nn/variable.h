@@ -25,9 +25,14 @@ namespace unimatch::nn {
 
 struct VarNode {
   Tensor value;
-  Tensor grad;  // same shape as value; allocated on first accumulation
+  // Allocated on first accumulation. Dense: the same shape as value.
+  // Row-sparse (grad_sparse, rank-2 values only): a [r, d] block whose row k
+  // is row grad_rows[k] of the gradient; every other row is zero.
+  Tensor grad;
+  std::vector<int64_t> grad_rows;  // strictly ascending row ids
   bool requires_grad = false;
   bool grad_defined = false;
+  bool grad_sparse = false;
   std::vector<std::shared_ptr<VarNode>> inputs;
   // Reads this node's grad and accumulates into the inputs' grads.
   std::function<void(VarNode&)> backward;
@@ -41,7 +46,20 @@ struct VarNode {
   /// of its storage) and this is the first accumulation, the tensor is
   /// adopted outright — no copy at all. Falls back to the copying overload
   /// when `g`'s storage is aliased (e.g. a Reshaped view of another grad).
+  /// A dense gradient arriving on a row-sparse one densifies it first.
   void AccumulateGrad(Tensor&& g);
+  /// Adds a row-sparse gradient: row k of `values` ([rows.size(), d]) is row
+  /// rows[k] (strictly ascending) and every other row is zero. The first one
+  /// is adopted; row sets then merge row by row as a + b, which is what the
+  /// dense add computes. On a dense gradient it is added densely.
+  void AccumulateRowGrad(std::vector<int64_t> rows, Tensor values);
+  /// Adds `other`'s gradient, dense or row-sparse, into this node's.
+  void AccumulateGradFrom(const VarNode& other);
+  /// The gradient in dense form: the stored tensor when dense, otherwise a
+  /// fresh zero-filled tensor with the stored rows copied in.
+  Tensor DenseGrad() const;
+  /// Replaces a row-sparse gradient by its dense form; no-op when dense.
+  void DensifyGrad();
 };
 
 /// A differentiable tensor handle with shared-graph semantics: copying a
@@ -62,13 +80,30 @@ class Variable {
   const Tensor& value() const { return node_->value; }
   Tensor& mutable_value() { return node_->value; }
 
-  /// The accumulated gradient. Must only be called after Backward() reached
-  /// this node (grad_defined() is true).
+  /// The accumulated gradient as stored: same shape as value() when dense,
+  /// the [r, d] block of rows grad_rows() when row-sparse. Must only be
+  /// called after Backward() reached this node (grad_defined() is true).
   const Tensor& grad() const {
     UM_CHECK(node_->grad_defined);
     return node_->grad;
   }
   bool grad_defined() const { return node_ && node_->grad_defined; }
+  /// True when grad() holds only the rows in grad_rows(). Embedding tables
+  /// get row-sparse gradients from EmbeddingLookup's backward.
+  bool grad_row_sparse() const {
+    UM_CHECK(node_->grad_defined);
+    return node_->grad_sparse;
+  }
+  /// Ascending row ids of a row-sparse gradient; empty when dense.
+  const std::vector<int64_t>& grad_rows() const {
+    UM_CHECK(node_->grad_defined);
+    return node_->grad_rows;
+  }
+  /// grad() in dense form (see VarNode::DenseGrad).
+  Tensor DenseGrad() const {
+    UM_CHECK(node_->grad_defined);
+    return node_->DenseGrad();
+  }
 
   bool requires_grad() const { return node_ && node_->requires_grad; }
 

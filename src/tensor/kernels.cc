@@ -48,6 +48,23 @@ void ScaleAddPortable(int64_t n, float alpha, const float* x, float beta,
   for (int64_t i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
 }
 
+// The scalar Adam element update. A null g substitutes g = +0.0f and still
+// does every multiply and add, so -0 moments round as with a stored zero
+// gradient. The AVX2 path calls this for its tail.
+void AdamPortable(int64_t n, const AdamStepF32& s, const float* g, float* m,
+                  float* v, float* w) {
+  const float lr = s.lr, b1 = s.beta1, b2 = s.beta2, eps = s.eps;
+  const float c1 = 1.0f - b1, c2 = 1.0f - b2, bc1 = s.bc1, bc2 = s.bc2;
+  for (int64_t i = 0; i < n; ++i) {
+    const float gi = g != nullptr ? g[i] : 0.0f;
+    m[i] = b1 * m[i] + c1 * gi;
+    v[i] = b2 * v[i] + c2 * gi * gi;
+    const float mhat = m[i] / bc1;
+    const float vhat = v[i] / bc2;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
 void GemmRowsAxpyPortable(int64_t i0, int64_t i1, int64_t n, int64_t k,
                           float alpha, const float* a, int64_t ars,
                           int64_t acs, const float* b, float beta, float* c) {
@@ -244,6 +261,42 @@ __attribute__((target("avx2,fma"))) void ScaleAddAvx2(int64_t n, float alpha,
                      _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), scaled_y));
   }
   for (; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
+}
+
+// Deliberately "avx2" without "fma": with FMA enabled GCC contracts both
+// _mm256_add_ps(_mm256_mul_ps(a, b), c) and scalar a * b + c into vfmadd,
+// which rounds once instead of twice and breaks bitwise equality with
+// AdamPortable. Every op below is an IEEE-exact lane-wise twin of the
+// scalar one, in the same order.
+__attribute__((target("avx2"))) void AdamAvx2(int64_t n, const AdamStepF32& s,
+                                              const float* g, float* m,
+                                              float* v, float* w) {
+  const __m256 lr = _mm256_set1_ps(s.lr);
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 c1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 c2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 bc1 = _mm256_set1_ps(s.bc1);
+  const __m256 bc2 = _mm256_set1_ps(s.bc2);
+  const __m256 eps = _mm256_set1_ps(s.eps);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gi =
+        g != nullptr ? _mm256_loadu_ps(g + i) : _mm256_setzero_ps();
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(c1, gi));
+    const __m256 vi =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(c2, gi), gi));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 mhat = _mm256_div_ps(mi, bc1);
+    const __m256 vhat = _mm256_div_ps(vi, bc2);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lr, mhat), _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+  }
+  AdamPortable(n - i, s, g != nullptr ? g + i : nullptr, m + i, v + i, w + i);
 }
 
 __attribute__((target("avx2,fma"))) void ScaleIntoAvx2(int64_t n, float alpha,
@@ -668,6 +721,20 @@ float L2NormalizeF32(int64_t n, const float* x, float* y, float eps) {
   const float norm = std::max(std::sqrt(DotF32(x, x, n)), eps);
   ScaleInto(n, 1.0f / norm, x, y);  // writes y without reading it
   return norm;
+}
+
+void AdamUpdateF32(int64_t n, const AdamStepF32& s, const float* g, float* m,
+                   float* v, float* w) {
+  UM_CONTRACT(n >= 0 && (n == 0 || (m != nullptr && v != nullptr &&
+                                    w != nullptr)))
+      << "AdamUpdateF32 n=" << n;
+#if defined(UNIMATCH_KERNELS_X86)
+  if (ActiveBackend() == Backend::kAvx2) {
+    AdamAvx2(n, s, g, m, v, w);
+    return;
+  }
+#endif
+  AdamPortable(n, s, g, m, v, w);
 }
 
 namespace {

@@ -16,7 +16,9 @@
 // or, in tests, with SetBackendForTest(). The two paths are numerically
 // equivalent up to float summation order (see tests/tensor/kernels_test.cc
 // for the exhaustive equivalence suite); neither is bitwise-identical to the
-// other because the vector path reassociates the reduction.
+// other because the vector path reassociates the reduction and fuses
+// multiply-adds. AdamUpdateF32 is the exception: it is elementwise and
+// FMA-free, so its two paths are bitwise equal.
 //
 // Threading stays OUT of this layer: the row-range gemm kernels are
 // single-threaded building blocks, and callers (src/tensor/tensor_ops.cc)
@@ -62,6 +64,22 @@ void ScaleAddF32(int64_t n, float alpha, const float* x, float beta, float* y);
 /// y[i] = x[i] / max(||x||_2, eps); returns the clamped norm. `x` and `y`
 /// may alias exactly.
 float L2NormalizeF32(int64_t n, const float* x, float* y, float eps);
+
+/// One Adam step's constants; bc1 = 1 - beta1^t and bc2 = 1 - beta2^t are
+/// the bias corrections of step t.
+struct AdamStepF32 {
+  float lr, beta1, beta2, eps, bc1, bc2;
+};
+
+/// One Adam update of n elements, each rounded exactly as the scalar
+///   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g;
+///   w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+/// `g == nullptr` means every g is +0.0f (rows a row-sparse gradient omits;
+/// their moments still decay). Unlike the other primitives, the two backends
+/// are bitwise equal: the AVX2 path is compiled without FMA, so it rounds
+/// every multiply and add as the scalar code does.
+void AdamUpdateF32(int64_t n, const AdamStepF32& s, const float* g, float* m,
+                   float* v, float* w);
 
 /// Row-range gemm building blocks. Both compute, for C rows i in [i0, i1):
 ///

@@ -140,30 +140,23 @@ void ShardedUserEncoder::FinishBackward() {
       },
       /*min_shard=*/1);
 
-  // Replay the embedding-table scatter exactly as the serial lookup
-  // backward would: one dense gradient, rows folded in ascending global
-  // order, one AccumulateGrad. Because the serial user-tower scatter is the
-  // last accumulation into the table, doing it here — after the main
-  // Backward's item/negative scatters — preserves the serial order.
-  const nn::Variable& table_var = primary_->user_lookup_table();
-  const int64_t d = table_var.dim(1);
-  Tensor g(table_var.shape());
-  bool any = false;
+  // The table scatter the serial lookup backward would do, through the
+  // same helper: each shard's gradient is one slice of the history ids, and
+  // slices go in shard order, so every row adds its contributions in global
+  // id order and the row-sparse result is bitwise the serial one. That it
+  // lands after the main Backward's item scatter does not matter: merging
+  // two row sets adds a + b, and float addition commutes.
+  std::vector<nn::LookupGradSlice> slices;
+  slices.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     if (!shard.seq.grad_defined()) continue;
-    any = true;
-    const Tensor& sg = shard.seq.grad();
-    for (int64_t r = shard.lo; r < shard.hi; ++r) {
-      for (int64_t t = 0; t < seq_len_; ++t) {
-        const int64_t id = (*history_ids_)[r * seq_len_ + t];
-        if (id == nn::kPadId) continue;
-        const float* src = sg.data() + ((r - shard.lo) * seq_len_ + t) * d;
-        float* dst = g.data() + id * d;
-        for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-      }
-    }
+    slices.push_back({history_ids_->data() + shard.lo * seq_len_,
+                      shard.seq.grad().data(),
+                      (shard.hi - shard.lo) * seq_len_});
   }
-  if (any) table_var.node()->AccumulateGrad(std::move(g));
+  if (!slices.empty()) {
+    nn::AccumulateLookupGrad(primary_->user_lookup_table(), slices);
+  }
 
   // Fold replica parameter gradients into the primary in fixed shard order,
   // then reset the replicas for the next step. Replica lookup tables never
@@ -177,8 +170,7 @@ void ShardedUserEncoder::FinishBackward() {
       std::vector<nn::NamedParameter> rep = replicas_[s]->Parameters();
       UM_CHECK_EQ(rep.size(), prim.size());
       for (size_t k = 0; k < rep.size(); ++k) {
-        if (!rep[k].variable.grad_defined()) continue;
-        prim[k].variable.node()->AccumulateGrad(rep[k].variable.grad());
+        prim[k].variable.node()->AccumulateGradFrom(*rep[k].variable.node());
       }
       replicas_[s]->ZeroGrad();
     }

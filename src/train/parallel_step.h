@@ -16,10 +16,11 @@
 //     heads joined by ConcatRowsN, so the loss's Backward() stops at the
 //     heads and deposits d(loss)/d(head) there.
 //   - FinishBackward() then runs BackwardFrom(shard output, head grad) per
-//     shard concurrently (the shard graphs are disjoint), replays the
-//     embedding-table scatter serially in global row order — reproducing
-//     the serial lookup backward bit for bit — and reduces any replica
-//     parameter gradients in shard order.
+//     shard concurrently (the shard graphs are disjoint), scatters the shard
+//     gradients into the table's row-sparse gradient with the lookup
+//     backward's own helper, slices in shard order — reproducing the serial
+//     lookup backward bit for bit — and reduces any replica parameter
+//     gradients in shard order.
 //
 // Towers with trainable extractor/aggregator parameters get one model
 // replica per shard (values alias the primary's storage, gradients are
@@ -50,7 +51,7 @@ class ShardedUserEncoder {
   /// Sharded equivalent of primary->EncodeUsers(history_ids, lengths,
   /// step_rng): returns the [B, d] user matrix as a graph node backed by
   /// detached shard heads. `history_ids` must stay alive and unchanged
-  /// until FinishBackward() returns (the table scatter replays it).
+  /// until FinishBackward() returns (the table scatter reads it).
   /// `step_rng` is consumed only when the model uses dropout — one seed
   /// draw per shard, in shard order, on the calling thread.
   nn::Variable Encode(const std::vector<int64_t>& history_ids,

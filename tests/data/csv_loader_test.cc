@@ -137,6 +137,21 @@ TEST(CsvLoaderTest, CommentsAndBlankLinesIgnored) {
   EXPECT_EQ(loaded->log.size(), 1);
 }
 
+TEST(CsvLoaderTest, DaySpanOverflowingInt64IsOutOfRange) {
+  std::istringstream in(
+      "u,i,t\n"
+      "u1,a,-9223372036854775808\n"
+      "u2,b,9223372036854775807\n");
+  EXPECT_TRUE(ParseCsvLog(in, CsvFormat{}).status().IsOutOfRange());
+}
+
+TEST(CsvLoaderTest, DayBeyondInt64IsInvalidArgument) {
+  std::istringstream in(
+      "u,i,t\n"
+      "u1,a,99999999999999999999\n");
+  EXPECT_TRUE(ParseCsvLog(in, CsvFormat{}).status().IsInvalidArgument());
+}
+
 TEST(CsvLoaderTest, EmptyInputRejected) {
   std::istringstream in("u,i,t\n");
   EXPECT_TRUE(ParseCsvLog(in, CsvFormat{}).status().IsInvalidArgument());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 
 #include "src/nn/layers.h"
 
@@ -144,6 +146,49 @@ TEST(SerializeTest, OversizedShapeRejected) {
   std::fwrite(dims, sizeof(dims), 1, f);
   std::fclose(f);
   EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
+  std::remove(path.c_str());
+}
+
+// Saves two 4x4 parameters "a" and "b" to `path`.
+void SaveTwoParams(const std::string& path) {
+  Rng rng(8);
+  Variable a(Tensor::Randn({4, 4}, 1.0f, &rng), true);
+  Variable b(Tensor::Randn({4, 4}, 1.0f, &rng), true);
+  std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
+  ASSERT_TRUE(SaveParameters(params, path).ok());
+}
+
+bool BitwiseEqual(const Tensor& x, const Tensor& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) == 0;
+}
+
+TEST(SerializeTest, TruncatedFileLeavesEveryParameterUnchanged) {
+  const std::string path = TempPath("truncated.ckpt");
+  SaveTwoParams(path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
+
+  Variable a(Tensor({4, 4}), true);
+  Variable b(Tensor({4, 4}), true);
+  const Tensor a0 = a.value().Clone(), b0 = b.value().Clone();
+  std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
+  EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
+  EXPECT_TRUE(BitwiseEqual(a.value(), a0));
+  EXPECT_TRUE(BitwiseEqual(b.value(), b0));
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, MismatchedSecondRecordLeavesEveryParameterUnchanged) {
+  const std::string path = TempPath("second_mismatch.ckpt");
+  SaveTwoParams(path);
+
+  Variable a(Tensor({4, 4}), true);
+  Variable b(Tensor({4, 5}), true);  // the file's "b" is 4x4
+  const Tensor a0 = a.value().Clone(), b0 = b.value().Clone();
+  std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
+  EXPECT_TRUE(LoadParameters(path, &params).IsInvalidArgument());
+  EXPECT_TRUE(BitwiseEqual(a.value(), a0));
+  EXPECT_TRUE(BitwiseEqual(b.value(), b0));
   std::remove(path.c_str());
 }
 

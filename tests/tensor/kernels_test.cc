@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -149,6 +151,65 @@ TEST_P(KernelsBackendTest, L2NormalizeAllowsExactAliasing) {
   for (auto& v : expect) v /= norm;
   L2NormalizeF32(19, x.data(), x.data(), 1e-12f);
   ExpectAllClose(x, expect, 1e-4f);
+}
+
+// ---------------------------------------------------------------------------
+// AdamUpdateF32: bitwise equal, on both backends, to the loop Adam::Step ran
+// before the kernel existed.
+// ---------------------------------------------------------------------------
+
+// Frozen verbatim copy of that loop (names included). Do not "improve" it:
+// its value is being the fixed yardstick.
+void AdamLoopReference(int64_t n, float lr_, float beta1_, float beta2_,
+                       float eps_, float bc1, float bc2, const float* g,
+                       float* m, float* v, float* w) {
+  for (int64_t j = 0; j < n; ++j) {
+    m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
+    v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
+    const float mhat = m[j] / bc1;
+    const float vhat = v[j] / bc2;
+    w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+  }
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST_P(KernelsBackendTest, AdamUpdateIsBitwiseTheScalarLoop) {
+  const float lr = 0.01f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  for (int64_t n : {0, 1, 7, 8, 9, 16, 33, 1000, 48001}) {
+    for (bool null_grad : {false, true}) {
+      auto m = RandomVec(n, 500 + n);
+      auto v = RandomVec(n, 600 + n);
+      auto w = RandomVec(n, 700 + n);
+      auto g = RandomVec(n, 800 + n);
+      for (int64_t i = 0; i < n; ++i) {
+        v[i] = std::fabs(v[i]);
+        // Signed zeros: g = +0 must still round a -0 moment to +0.
+        if (i % 5 == 0) m[i] = -0.0f;
+        if (i % 7 == 0) v[i] = 0.0f;
+        if (i % 3 == 0) g[i] = 0.0f;
+      }
+      if (null_grad) std::fill(g.begin(), g.end(), 0.0f);
+      auto m_ref = m, v_ref = v, w_ref = w;
+      for (int t : {1, 2, 3, 5, 10, 25, 43}) {
+        const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+        const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+        const AdamStepF32 step{lr, beta1, beta2, eps, bc1, bc2};
+        AdamUpdateF32(n, step, null_grad ? nullptr : g.data(), m.data(),
+                      v.data(), w.data());
+        AdamLoopReference(n, lr, beta1, beta2, eps, bc1, bc2, g.data(),
+                          m_ref.data(), v_ref.data(), w_ref.data());
+        ASSERT_TRUE(BitwiseEqual(m, m_ref)) << "n=" << n << " t=" << t
+                                            << " null_grad=" << null_grad;
+        ASSERT_TRUE(BitwiseEqual(v, v_ref)) << "n=" << n << " t=" << t;
+        ASSERT_TRUE(BitwiseEqual(w, w_ref)) << "n=" << n << " t=" << t;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

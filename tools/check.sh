@@ -21,6 +21,10 @@
 #      ANN backends, zero pool acquires per steady-state query, and a
 #      >= 2x batch-32 speedup for the flat and quantized-flat scans;
 #      graph/IVF speedups are recorded warn-only in BENCH_batch_exec.json
+#   9. perfbench correctness: perfbench/run.py --selftest, then one short
+#      large_catalog run that must end with "correct": true and
+#      "failed": 0 (exact answers against a brute-force key, equal NDCG
+#      across training passes)
 #
 # Usage: tools/check.sh [--jobs N] [--skip-release] [--skip-tsan]
 #                       [--skip-asan] [--skip-threadsafety] [--skip-bench]
@@ -109,6 +113,20 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # pool acquires per steady-state query, and >= 2x batch-32 QPS for the
   # flat + quantized-flat scans. Graph/IVF speedups are warn-only.
   (cd build/bench && UNIMATCH_BENCH_SMOKE=1 ./bench_batch_exec)
+
+  stage "perfbench correctness (perfbench/run.py)"
+  python3 perfbench/run.py --selftest
+  # Hard gate: the last stdout line is the run's JSON result; it must say
+  # "correct": true and "failed": 0.
+  python3 perfbench/run.py --workload large_catalog --seed 1 --seconds 5 |
+    tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("perfbench large_catalog: correct=%s failed=%s"
+             % (r["correct"], r["failed"]))
+print("perfbench large_catalog: correct, 0 failed")
+'
 fi
 
 stage "all checks passed"
