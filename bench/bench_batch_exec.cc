@@ -18,6 +18,7 @@
 //      "speedup_b32": 3.4},
 //     {"name": "qflat", ...}, {"name": "ivf", ...}, {"name": "ivfpq", ...},
 //     {"name": "hnsw", ...}, {"name": "hnsw_q", ...}
+//   (qflat: the exact scan over int8 rows; hnsw_q: HNSW over int8 rows),
 //   ],
 //   "gates": {"parity": true, "max_allocs_per_query": 0.0,
 //             "flat_speedup_b32": ..., "qflat_speedup_b32": ...,
@@ -61,15 +62,6 @@ const int64_t kBatchSizes[] = {1, 8, 32, 128};
 bool SmokeMode() {
   const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
   return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
-
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 Tensor RandomUnitVectors(int64_t n, int64_t d, uint64_t seed) {
@@ -170,7 +162,7 @@ BackendReport MeasureBackend(const std::string& name, const ann::Index& index,
     Point point;
     point.batch = batch;
     point.qps = elapsed_s > 0.0 ? static_cast<double>(done) / elapsed_s : 0.0;
-    point.p99_batch_us = Percentile(micros, 0.99);
+    point.p99_batch_us = bench::Percentile(micros, 0.99);
     report.points.push_back(point);
   }
   const BufferPool::Stats after = BufferPool::Global()->stats();
@@ -217,7 +209,7 @@ int Main(int argc, char** argv) {
   std::vector<Backend> backends;
   backends.push_back({"flat", std::make_unique<ann::BruteForceIndex>()});
   backends.push_back(
-      {"qflat", std::make_unique<ann::QuantizedFlatIndex>(ScalarType::kI8)});
+      {"qflat", std::make_unique<ann::BruteForceIndex>(ScalarType::kI8)});
   ann::IvfConfig ivf;
   ivf.nprobe = 8;
   backends.push_back({"ivf", std::make_unique<ann::IvfIndex>(ivf)});
@@ -226,9 +218,9 @@ int Main(int argc, char** argv) {
   backends.push_back({"ivfpq", std::make_unique<ann::IvfPqIndex>(pq)});
   ann::HnswConfig hnsw;
   backends.push_back({"hnsw", std::make_unique<ann::HnswIndex>(hnsw)});
-  ann::HnswConfig hnsw_q;
-  hnsw_q.storage = ScalarType::kI8;
-  backends.push_back({"hnsw_q", std::make_unique<ann::HnswIndex>(hnsw_q)});
+  ann::HnswConfig hnsw_i8;
+  hnsw_i8.storage = ScalarType::kI8;
+  backends.push_back({"hnsw_q", std::make_unique<ann::HnswIndex>(hnsw_i8)});
   for (Backend& b : backends) {
     WallTimer build_timer;
     const Status st = b.index->Build(table);

@@ -57,15 +57,6 @@ bool SmokeMode() {
   return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
 }
 
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 struct FrontierPoint {
   std::string index;
   std::string storage;
@@ -113,7 +104,7 @@ FrontierPoint Measure(const std::string& index_name,
   double total = 0.0;
   for (const double m : micros) total += m;
   point.mean_query_us = total / static_cast<double>(micros.size());
-  point.p99_query_us = Percentile(micros, 0.99);
+  point.p99_query_us = bench::Percentile(micros, 0.99);
   UM_LOG(INFO) << "[quant] " << index_name << "/" << storage_name
                << ": recall@" << kRecallK << " " << point.recall << ", "
                << point.bytes_per_row << " B/row ("
@@ -158,13 +149,9 @@ int Main(int argc, char** argv) {
   std::vector<FrontierPoint> frontier;
 
   // Flat scans: exact candidate set, storage is the only variable.
-  {
-    ann::BruteForceIndex flat;
-    frontier.push_back(Measure("flat", "f32", &flat, f32_bytes_per_row,
-                               f32_bytes_per_row, table, queries, exact));
-  }
-  for (const ScalarType type : {ScalarType::kF16, ScalarType::kI8}) {
-    ann::QuantizedFlatIndex flat(type);
+  for (const ScalarType type :
+       {ScalarType::kF32, ScalarType::kF16, ScalarType::kI8}) {
+    ann::BruteForceIndex flat(type);
     const double bpr =
         QuantizedMatrix::Quantize(table, type).bytes_per_row();
     frontier.push_back(Measure("flat", ScalarTypeName(type), &flat, bpr,

@@ -59,15 +59,6 @@ bool SmokeMode() {
   return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
 }
 
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 struct KindStats {
   int64_t requests = 0;  // answered (non-shed, non-error) requests
   double p50_ms = 0.0;
@@ -194,16 +185,16 @@ SweepPoint RunLevel(serving::ServingFrontend* frontend,
     std::vector<double>& kl = kind_latencies[kind];
     std::sort(kl.begin(), kl.end());
     point.by_kind[kind].requests = static_cast<int64_t>(kl.size());
-    point.by_kind[kind].p50_ms = Percentile(kl, 0.50);
-    point.by_kind[kind].p99_ms = Percentile(kl, 0.99);
+    point.by_kind[kind].p50_ms = bench::Percentile(kl, 0.50);
+    point.by_kind[kind].p99_ms = bench::Percentile(kl, 0.99);
   }
   point.achieved_qps =
       elapsed_s > 0.0
           ? static_cast<double>(latencies.size()) / elapsed_s
           : 0.0;
-  point.p50_ms = Percentile(latencies, 0.50);
-  point.p99_ms = Percentile(latencies, 0.99);
-  point.p999_ms = Percentile(latencies, 0.999);
+  point.p50_ms = bench::Percentile(latencies, 0.50);
+  point.p99_ms = bench::Percentile(latencies, 0.99);
+  point.p999_ms = bench::Percentile(latencies, 0.999);
   // mean_batch is filled by the caller from the occupancy histogram.
   point.saturated = point.achieved_qps < 0.9 * offered_qps ||
                     point.shed > total / 100;

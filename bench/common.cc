@@ -1,5 +1,6 @@
 #include "bench/common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -213,6 +214,15 @@ MetricsDumper::~MetricsDumper() {
                  st.ToString().c_str());
   }
 #endif
+}
+
+double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 std::string JsonEscape(const std::string& s) {

@@ -84,6 +84,10 @@ const std::vector<loss::LossKind>& MultinomialLosses();
 int RunLossComparisonTable(const std::vector<std::string>& datasets,
                            const std::string& title, double scale);
 
+/// The q-quantile (q in [0, 1]) of ascending `sorted`, interpolating
+/// linearly between neighbours; 0 when empty.
+double Percentile(const std::vector<double>& sorted, double q);
+
 /// Percent formatting helper ("57.20").
 inline std::string Pct(double v) { return FixedDigits(100.0 * v, 2); }
 

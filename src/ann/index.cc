@@ -103,8 +103,10 @@ Status BruteForceIndex::Build(const Tensor& vectors) {
   if (vectors.rank() != 2) {
     return Status::InvalidArgument("index expects a [N, d] matrix");
   }
-  UM_CHECK_FINITE(vectors) << "BruteForceIndex::Build embeddings";
-  vectors_ = vectors;  // refcounted alias; the index never mutates it
+  if (vectors.dim(0) == 0) return Status::InvalidArgument("empty index");
+  // Quantize checks every value finite; kF32 aliases `vectors`, which the
+  // index never mutates.
+  table_ = QuantizedMatrix::Quantize(vectors, storage_);
   return Status::OK();
 }
 
@@ -113,16 +115,28 @@ void BruteForceIndex::MultiSearchImpl(const float* queries, int64_t nq, int k,
                                       SearchResult* out) const {
   UM_SCOPED_TIMER("ann.brute.search.ms");
   UM_COUNTER_ADD("ann.brute.searches", nq);
+  UM_CHECK(table_.valid()) << "Search before Build";
   const int64_t n = size(), d = dim();
+  const bool f32 = table_.type() == ScalarType::kF32;
   BatchTopK& top = ws.batch_topk();
   top.Reset(nq, k);
-  float* scores = ws.Scores(nq * std::min(n, kScanBlockRows));
+  const int64_t block = std::min(n, kScanBlockRows);
+  float* scores = ws.Scores(nq * block);
+  float* decoded = f32 ? nullptr : ws.DequantBlock(block * d);
   for (int64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
     const int64_t bn = std::min(kScanBlockRows, n - b0);
+    // Quantized codes decode once per block, so the decode cost amortizes
+    // over the whole batch; the block extent never depends on nq.
+    const float* rows = decoded;
+    if (f32) {
+      rows = table_.f32_row(b0);
+    } else {
+      table_.DequantizeRows(b0, b0 + bn, decoded);
+    }
     // scores[q * bn + j] = dot(queries[q], row b0 + j) — one blocked sweep
     // for the whole micro-batch instead of nq strided passes.
-    kernels::GemmRowsDot(0, nq, bn, d, 1.0f, queries, d, 1,
-                         vectors_.data() + b0 * d, 0.0f, scores);
+    kernels::GemmRowsDot(0, nq, bn, d, 1.0f, queries, d, 1, rows, 0.0f,
+                         scores);
     for (int64_t q = 0; q < nq; ++q) {
       const float* row = scores + q * bn;
       for (int64_t j = 0; j < bn; ++j) top.Offer(q, b0 + j, row[j]);

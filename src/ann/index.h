@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/ann/workspace.h"
+#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/status.h"
 
@@ -68,19 +69,30 @@ class Index {
                                SearchResult* out) const = 0;
 };
 
-/// Exact scan; query-major blocked through the gemm kernels.
+/// Exact scan over a QuantizedMatrix (src/tensor/quant.h), query-major
+/// blocked through the gemm kernels. kF32 storage aliases the built matrix.
+/// kF16/kI8 storage keeps only codes, 2x / ~3-4x smaller, and decodes each
+/// block of rows once per batch; the code round-trip error is its only
+/// approximation, so recall@k stays near 1.
 class BruteForceIndex : public Index {
  public:
+  explicit BruteForceIndex(ScalarType storage = ScalarType::kF32)
+      : storage_(storage) {}
+
   Status Build(const Tensor& vectors) override;
-  int64_t size() const override { return vectors_.rank() == 2 ? vectors_.dim(0) : 0; }
-  int64_t dim() const override { return vectors_.rank() == 2 ? vectors_.dim(1) : 0; }
+  int64_t size() const override { return table_.rows(); }
+  int64_t dim() const override { return table_.cols(); }
+
+  /// The scanned rows (valid after Build).
+  const QuantizedMatrix& table() const { return table_; }
 
  protected:
   void MultiSearchImpl(const float* queries, int64_t nq, int k,
                        SearchWorkspace& ws, SearchResult* out) const override;
 
  private:
-  Tensor vectors_;
+  ScalarType storage_;
+  QuantizedMatrix table_;
 };
 
 struct IvfConfig {

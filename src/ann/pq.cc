@@ -32,60 +32,7 @@ float L2DistanceSquared(const float* a, const float* b, int64_t n) {
   return acc;
 }
 
-// Catalog rows per scoring block; fixed (never a function of nq) and a
-// multiple of the gemm kernel's 4-row j-grouping, so every row's score is
-// bitwise identical at any batch size (see src/ann/index.cc).
-constexpr int64_t kScanBlockRows = 256;
-
 }  // namespace
-
-Status QuantizedFlatIndex::Build(const Tensor& vectors) {
-  if (vectors.rank() != 2) {
-    return Status::InvalidArgument("index expects a [N, d] matrix");
-  }
-  if (vectors.dim(0) == 0) return Status::InvalidArgument("empty index");
-  UM_SCOPED_TIMER("ann.qflat.build.ms");
-  table_ = QuantizedMatrix::Quantize(vectors, type_);
-  return Status::OK();
-}
-
-void QuantizedFlatIndex::MultiSearchImpl(const float* queries, int64_t nq,
-                                         int k, SearchWorkspace& ws,
-                                         SearchResult* out) const {
-  UM_SCOPED_TIMER("ann.qflat.search.ms");
-  UM_COUNTER_ADD("ann.qflat.searches", nq);
-  UM_CHECK(table_.valid()) << "Search before Build";
-  const int64_t n = table_.rows(), d = table_.cols();
-  BatchTopK& top = ws.batch_topk();
-  top.Reset(nq, k);
-  const int64_t block = std::min(n, kScanBlockRows);
-  float* scores = ws.Scores(nq * block);
-  float* decoded = table_.type() == ScalarType::kF32
-                       ? nullptr
-                       : ws.DequantBlock(block * d);
-  for (int64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
-    const int64_t bn = std::min(kScanBlockRows, n - b0);
-    if (table_.type() == ScalarType::kF32) {
-      // f32 passthrough tables score through the same blocked gemm sweep
-      // as BruteForceIndex.
-      kernels::GemmRowsDot(0, nq, bn, d, 1.0f, queries, d, 1,
-                           table_.f32_row(b0), 0.0f, scores);
-    } else {
-      // Quantized codes: decode the block once — the decode cost amortizes
-      // over the whole batch — then score every query through the same
-      // blocked gemm as the f32 path. The block extent never depends on
-      // nq, so scores stay batch-size invariant (Search parity).
-      table_.DequantizeRows(b0, b0 + bn, decoded);
-      kernels::GemmRowsDot(0, nq, bn, d, 1.0f, queries, d, 1, decoded, 0.0f,
-                           scores);
-    }
-    for (int64_t q = 0; q < nq; ++q) {
-      const float* row = scores + q * bn;
-      for (int64_t j = 0; j < bn; ++j) top.Offer(q, b0 + j, row[j]);
-    }
-  }
-  top.TakeInto(out);
-}
 
 Status IvfPqIndex::Build(const Tensor& vectors) {
   if (vectors.rank() != 2) {

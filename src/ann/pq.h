@@ -1,22 +1,19 @@
-// Compressed retrieval: product-quantized IVF and quantized flat scan.
+// Compressed retrieval: product-quantized IVF.
 //
-// Both indexes trade a controlled amount of recall for memory, the lever
-// that makes billion-row merchant catalogs servable on one box:
+// IvfPqIndex trades a controlled amount of recall for memory, the lever
+// that makes billion-row merchant catalogs servable on one box. (The other
+// compressed backend is the exact scan over int8 / fp16 codes:
+// BruteForceIndex with a quantized storage type, src/ann/index.h.)
 //
-//   * QuantizedFlatIndex — exact scan over a QuantizedMatrix (int8 or fp16
-//     codes, src/tensor/quant.h). Same candidate set as BruteForceIndex;
-//     the only approximation is the code round-trip error, so recall@k
-//     stays near 1 while the table shrinks ~3-4x (int8) or 2x (fp16).
-//
-//   * IvfPqIndex — coarse spherical k-means (TrainSphericalKMeans, shared
-//     with IvfIndex) plus per-subspace product-quantization codebooks.
-//     Each vector stores only m uint8 codes; queries precompute an
-//     asymmetric-distance (ADC) table of query-subvector x codeword inner
-//     products, so scoring a candidate is m table lookups and adds. The
-//     inner product decomposes over subspaces exactly
-//     (dot(q, x) = sum_s dot(q_s, x_s)), so the ADC score's only error is
-//     the codeword round-trip — no residual encoding is needed for the
-//     recall floor gated in CI (recall@10 >= 0.95 on the bench workload).
+// It combines a coarse spherical k-means (TrainSphericalKMeans, shared
+// with IvfIndex) with per-subspace product-quantization codebooks. Each
+// vector stores only m uint8 codes; queries precompute an
+// asymmetric-distance (ADC) table of query-subvector x codeword inner
+// products, so scoring a candidate is m table lookups and adds. The inner
+// product decomposes over subspaces exactly
+// (dot(q, x) = sum_s dot(q_s, x_s)), so the ADC score's only error is the
+// codeword round-trip — no residual encoding is needed for the recall
+// floor gated in CI (recall@10 >= 0.95 on the bench workload).
 //
 // Codebooks are trained with plain L2 k-means per subspace: minimizing the
 // subvector reconstruction error bounds the inner-product error by
@@ -32,35 +29,10 @@
 #include <vector>
 
 #include "src/ann/index.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/status.h"
 
 namespace unimatch::ann {
-
-/// Exact scan over quantized codes: BruteForceIndex's candidate set at a
-/// fraction of the bytes. `type` kF32 degenerates to a plain flat scan.
-class QuantizedFlatIndex : public Index {
- public:
-  explicit QuantizedFlatIndex(ScalarType type = ScalarType::kI8)
-      : type_(type) {}
-
-  Status Build(const Tensor& vectors) override;
-  int64_t size() const override { return table_.rows(); }
-  int64_t dim() const override { return table_.cols(); }
-
-  ScalarType storage() const { return type_; }
-  const QuantizedMatrix& table() const { return table_; }
-  int64_t payload_bytes() const { return table_.payload_bytes(); }
-
- protected:
-  void MultiSearchImpl(const float* queries, int64_t nq, int k,
-                       SearchWorkspace& ws, SearchResult* out) const override;
-
- private:
-  ScalarType type_;
-  QuantizedMatrix table_;
-};
 
 struct IvfPqConfig {
   /// Coarse clusters; defaults to ~sqrt(N) when 0.

@@ -26,6 +26,10 @@
 #include "src/train/trainer.h"
 #include "src/util/status.h"
 
+namespace unimatch::serving {
+class EngineSnapshot;
+}  // namespace unimatch::serving
+
 namespace unimatch::core {
 
 struct EngineConfig {
@@ -35,9 +39,9 @@ struct EngineConfig {
   train::TrainConfig train;
   /// Windowing & filtering.
   data::SplitConfig split;
-  /// Serving index: "brute_force" (exact), "ivf" / "hnsw" (approximate,
-  /// float storage), "ivfpq" (product-quantized IVF) or "hnsw_q"
-  /// (HNSW over int8 rows; `hnsw` settings apply, storage forced to kI8).
+  /// Serving index: "brute_force" (exact scan), "ivf" (inverted file),
+  /// "ivfpq" (product-quantized IVF) or "hnsw" (graph; `hnsw.storage`
+  /// picks f32, f16 or int8 rows).
   std::string index = "brute_force";
   ann::IvfConfig ivf;
   ann::HnswConfig hnsw;
@@ -65,7 +69,7 @@ class UniMatchEngine {
   Status FitIncrementalMonth(const data::InteractionLog& log, int32_t month);
 
   /// IR for a known user id (history taken from the fitted log). `n` must
-  /// be positive, as for every query below.
+  /// be positive, as for every query below. Answered by snapshot().
   Result<std::vector<Scored>> RecommendItems(data::UserId user, int n) const;
 
   /// IR for an ad-hoc behavior sequence (anonymous / cold-start flows).
@@ -73,51 +77,47 @@ class UniMatchEngine {
       const std::vector<data::ItemId>& history, int n) const;
 
   /// UT: most-likely future buyers of an item, over all known users.
+  /// Answered by snapshot().
   Result<std::vector<Scored>> TargetUsers(data::ItemId item, int n) const;
 
   /// Checkpointing of the underlying model parameters.
   Status SaveCheckpoint(const std::string& path) const;
   Status LoadCheckpoint(const std::string& path);
 
-  bool fitted() const { return fitted_; }
+  bool fitted() const { return snapshot_ != nullptr; }
   const model::TwoTowerModel* model() const { return model_.get(); }
   const data::DatasetSplits* splits() const {
-    return fitted_ ? &splits_ : nullptr;
+    return fitted() ? &splits_ : nullptr;
   }
 
-  /// Normalized embedding matrices (valid after Fit).
-  const Tensor& item_embeddings() const { return item_embeddings_; }
-  const Tensor& user_embeddings() const { return user_embeddings_; }
+  /// Normalized embedding matrices of the current generation, aliases of
+  /// snapshot()'s tables (empty before Fit).
+  Tensor item_embeddings() const;
+  Tensor user_embeddings() const;
 
-  /// The serving indexes over item_embeddings() / user_embeddings() (valid
-  /// after Fit). Every rebuild replaces both with new objects and never
-  /// mutates a built one, so a holder such as a published
-  /// serving::EngineSnapshot keeps its generation alive and unchanged.
-  const std::shared_ptr<const ann::Index>& item_index() const {
-    return item_index_;
-  }
-  const std::shared_ptr<const ann::Index>& user_index() const {
-    return user_index_;
+  /// The query object of the current model generation (null before Fit):
+  /// the embedding tables, the servable-user flags and the two serving
+  /// indexes. Fit, FitIncrementalMonth and LoadCheckpoint each
+  /// build a new one and never mutate a built one, so a holder keeps its
+  /// generation alive and unchanged. serving::EngineSnapshot::FromEngine
+  /// shares it rather than deriving any of it again.
+  const std::shared_ptr<const serving::EngineSnapshot>& snapshot() const {
+    return snapshot_;
   }
 
-  /// A fresh, empty index of the configured kind (`EngineConfig::index`).
-  /// The engine builds its two serving indexes with it once per model
-  /// generation; serving::EngineSnapshot::FromEngine shares those instead
-  /// of building its own.
+  /// A fresh, empty index of the configured kind (`EngineConfig::index`),
+  /// or null for an unknown kind, which Fit rejects. The engine builds its
+  /// two serving indexes with it once per model generation.
   std::unique_ptr<ann::Index> MakeConfiguredIndex() const;
 
  private:
   Status RebuildIndexes();
 
   EngineConfig config_;
-  bool fitted_ = false;
   data::DatasetSplits splits_;
   std::unique_ptr<model::TwoTowerModel> model_;
   std::unique_ptr<train::Trainer> trainer_;
-  Tensor item_embeddings_;
-  Tensor user_embeddings_;
-  std::shared_ptr<const ann::Index> item_index_;
-  std::shared_ptr<const ann::Index> user_index_;
+  std::shared_ptr<const serving::EngineSnapshot> snapshot_;
 };
 
 }  // namespace unimatch::core

@@ -50,7 +50,7 @@ Status SaveParameters(const std::vector<NamedParameter>& params,
       return Status::IOError("write failed: " + path);
     }
   }
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Status LoadParameters(const std::string& path,
@@ -112,9 +112,8 @@ Status LoadParameters(const std::string& path,
       return Status::IOError("truncated checkpoint: " + path);
     }
     std::vector<float> data(numel);
-    if (!ReadBytes(f.get(), data.data(), sizeof(float) * numel)) {
-      return Status::IOError("truncated checkpoint: " + path);
-    }
+    UNIMATCH_RETURN_IF_ERROR(
+        ReadFiniteFloats(f.get(), data.data(), numel, path));
     auto it = by_name.find(name);
     if (it == by_name.end()) {
       return Status::NotFound("checkpoint parameter not in model: " + name);

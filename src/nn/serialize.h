@@ -21,13 +21,15 @@
 
 namespace unimatch::nn {
 
-/// Writes all parameters to `path`.
+/// Writes all parameters to `path`. IOError when any write, the flush or
+/// the close fails.
 Status SaveParameters(const std::vector<NamedParameter>& params,
                       const std::string& path);
 
 /// Reads a checkpoint and copies values into matching parameters. Fails if a
 /// checkpoint entry has no matching name or mismatched shape, or the file is
-/// corrupt; a failed load leaves every parameter unchanged. Parameters not
+/// corrupt or holds a NaN or infinite value (IOError); a failed load leaves
+/// every parameter unchanged. Parameters not
 /// present in the checkpoint are left untouched (and reported via the
 /// optional `missing` list).
 Status LoadParameters(const std::string& path,

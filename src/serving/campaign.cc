@@ -6,15 +6,48 @@
 #include <unordered_map>
 
 #include "src/obs/obs.h"
+#include "src/util/file_util.h"
 #include "src/util/threadpool.h"
 
 namespace unimatch::serving {
 
-Result<std::vector<AudienceEntry>> BuildAudience(
-    const core::UniMatchEngine& engine, const AudienceRequest& request) {
-  if (!engine.fitted()) {
-    return Status::FailedPrecondition("engine not fitted");
+namespace {
+
+using Answers = std::vector<Result<std::vector<core::Scored>>>;
+using MultiQueryFn = void (EngineSnapshot::*)(const int64_t*, int64_t, int,
+                                              Answers*) const;
+
+// Ids per pool task. Each task answers its chunk with one batched snapshot
+// call; one call for a whole campaign would leave the other threads idle.
+constexpr int64_t kChunkIds = 256;
+
+// Answers `ids` with `query` (MultiTargetUsers or MultiRecommendItems) in
+// chunks on the global pool, and returns one answer per id in input order.
+Answers AnswerInChunks(const EngineSnapshot& snapshot, MultiQueryFn query,
+                       const std::vector<int64_t>& ids, int n) {
+  const int64_t num_ids = static_cast<int64_t>(ids.size());
+  const int64_t num_chunks = (num_ids + kChunkIds - 1) / kChunkIds;
+  std::vector<Answers> chunks(static_cast<size_t>(num_chunks));
+  ThreadPool::Global()->ParallelFor(
+      0, num_chunks,
+      [&](int64_t c) {
+        const int64_t lo = c * kChunkIds;
+        (snapshot.*query)(ids.data() + lo, std::min(kChunkIds, num_ids - lo),
+                          n, &chunks[static_cast<size_t>(c)]);
+      },
+      /*min_shard=*/1);
+  Answers out;
+  out.reserve(ids.size());
+  for (Answers& chunk : chunks) {
+    for (auto& answer : chunk) out.push_back(std::move(answer));
   }
+  return out;
+}
+
+}  // namespace
+
+Result<std::vector<AudienceEntry>> BuildAudience(
+    const EngineSnapshot& snapshot, const AudienceRequest& request) {
   if (request.audience_size <= 0) {
     return Status::InvalidArgument("audience_size must be positive");
   }
@@ -25,29 +58,12 @@ Result<std::vector<AudienceEntry>> BuildAudience(
   // Over-fetch when exclusive so dedup can still fill each audience.
   const int fetch =
       request.exclusive ? request.audience_size * 2 : request.audience_size;
-  // Per-item lookups are independent reads of a fitted (immutable) engine:
-  // fetch each into its own slot concurrently, then merge serially in
-  // request order so output order and error precedence match the serial
-  // loop (first failing item wins).
-  const int64_t num_items = static_cast<int64_t>(request.items.size());
-  std::vector<std::vector<core::Scored>> fetched(num_items);
-  std::vector<Status> statuses(num_items);
-  ThreadPool::Global()->ParallelFor(
-      0, num_items,
-      [&](int64_t k) {
-        auto users = engine.TargetUsers(request.items[k], fetch);
-        if (!users.ok()) {
-          statuses[k] = users.status();
-          return;
-        }
-        fetched[k] = std::move(users).value();
-      },
-      /*min_shard=*/1);
-  UM_COUNTER_ADD("serving.audience.parallel_items", num_items);
+  const Answers fetched = AnswerInChunks(
+      snapshot, &EngineSnapshot::MultiTargetUsers, request.items, fetch);
   std::vector<AudienceEntry> all;
-  for (int64_t k = 0; k < num_items; ++k) {
-    if (!statuses[k].ok()) return statuses[k];
-    for (const auto& s : fetched[k]) {
+  for (size_t k = 0; k < fetched.size(); ++k) {
+    if (!fetched[k].ok()) return fetched[k].status();
+    for (const auto& s : *fetched[k]) {
       all.push_back({request.items[k], s.id, s.score});
     }
   }
@@ -89,22 +105,18 @@ std::string UserName(const data::IdMap* map, data::UserId id) {
 Status WriteAudienceCsv(const std::vector<AudienceEntry>& audience,
                         const std::string& path, const data::IdMap* items,
                         const data::IdMap* users) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  FilePtr f(std::fopen(path.c_str(), "w"));
   if (!f) return Status::IOError("cannot open for write: " + path);
-  std::fprintf(f, "item_id,user_id,score\n");
+  std::fprintf(f.get(), "item_id,user_id,score\n");
   for (const auto& e : audience) {
-    std::fprintf(f, "%s,%s,%.6f\n", ItemName(items, e.item).c_str(),
+    std::fprintf(f.get(), "%s,%s,%.6f\n", ItemName(items, e.item).c_str(),
                  UserName(users, e.user).c_str(), e.score);
   }
-  std::fclose(f);
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Result<std::vector<NewsletterEntry>> BuildNewsletter(
-    const core::UniMatchEngine& engine, const NewsletterRequest& request) {
-  if (!engine.fitted()) {
-    return Status::FailedPrecondition("engine not fitted");
-  }
+    const EngineSnapshot& snapshot, const NewsletterRequest& request) {
   if (request.items_per_user <= 0) {
     return Status::InvalidArgument("items_per_user must be positive");
   }
@@ -112,31 +124,17 @@ Result<std::vector<NewsletterEntry>> BuildNewsletter(
   UM_COUNTER_INC("serving.newsletter.requests");
   UM_COUNTER_ADD("serving.newsletter.user_lookups",
                  static_cast<int64_t>(request.users.size()));
-  // Recommend for each recipient concurrently (read-only engine), then
-  // merge in request order; recipients whose lookup failed (no history /
-  // unknown) are skipped during the serial merge, same as the serial loop.
-  const int64_t num_users = static_cast<int64_t>(request.users.size());
-  std::vector<std::vector<core::Scored>> fetched(num_users);
-  // Bytes, not vector<bool>: workers write distinct slots concurrently.
-  std::vector<uint8_t> fetched_ok(num_users, 0);
-  ThreadPool::Global()->ParallelFor(
-      0, num_users,
-      [&](int64_t k) {
-        auto items = engine.RecommendItems(request.users[k],
-                                           request.items_per_user);
-        if (!items.ok()) return;
-        fetched[k] = std::move(items).value();
-        fetched_ok[k] = 1;
-      },
-      /*min_shard=*/1);
-  UM_COUNTER_ADD("serving.newsletter.parallel_users", num_users);
+  Answers fetched =
+      AnswerInChunks(snapshot, &EngineSnapshot::MultiRecommendItems,
+                     request.users, request.items_per_user);
+  // Recipients whose lookup failed (no history / unknown) are skipped.
   std::vector<NewsletterEntry> out;
-  for (int64_t k = 0; k < num_users; ++k) {
-    if (!fetched_ok[k]) {
+  for (size_t k = 0; k < fetched.size(); ++k) {
+    if (!fetched[k].ok()) {
       UM_COUNTER_INC("serving.newsletter.skipped_users");
       continue;
     }
-    out.push_back({request.users[k], std::move(fetched[k])});
+    out.push_back({request.users[k], std::move(fetched[k]).value()});
   }
   return out;
 }
@@ -144,18 +142,17 @@ Result<std::vector<NewsletterEntry>> BuildNewsletter(
 Status WriteNewsletterCsv(const std::vector<NewsletterEntry>& newsletter,
                           const std::string& path, const data::IdMap* items,
                           const data::IdMap* users) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  FilePtr f(std::fopen(path.c_str(), "w"));
   if (!f) return Status::IOError("cannot open for write: " + path);
-  std::fprintf(f, "user_id,rank,item_id,score\n");
+  std::fprintf(f.get(), "user_id,rank,item_id,score\n");
   for (const auto& e : newsletter) {
     for (size_t r = 0; r < e.items.size(); ++r) {
-      std::fprintf(f, "%s,%zu,%s,%.6f\n", UserName(users, e.user).c_str(),
-                   r + 1, ItemName(items, e.items[r].id).c_str(),
-                   e.items[r].score);
+      std::fprintf(f.get(), "%s,%zu,%s,%.6f\n",
+                   UserName(users, e.user).c_str(), r + 1,
+                   ItemName(items, e.items[r].id).c_str(), e.items[r].score);
     }
   }
-  std::fclose(f);
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 }  // namespace unimatch::serving

@@ -1,6 +1,8 @@
 // Campaign exporting: turning ranked matches into the artifacts merchants
 // actually ship — audience lists for promotions (UT) and per-user item
 // shortlists for newsletters (IR), written as CSV with external ids.
+// Campaigns sit above EngineSnapshot and answer through its batched
+// queries, so a campaign built during a refresh stays on one generation.
 
 #ifndef UNIMATCH_SERVING_CAMPAIGN_H_
 #define UNIMATCH_SERVING_CAMPAIGN_H_
@@ -8,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/unimatch.h"
 #include "src/data/id_map.h"
+#include "src/serving/snapshot.h"
 
 namespace unimatch::serving {
 
@@ -28,12 +30,14 @@ struct AudienceEntry {
   float score = 0.0f;
 };
 
-/// Builds per-item audiences from a fitted engine.
+/// Builds per-item audiences in request order. The first unknown item's
+/// error wins.
 Result<std::vector<AudienceEntry>> BuildAudience(
-    const core::UniMatchEngine& engine, const AudienceRequest& request);
+    const EngineSnapshot& snapshot, const AudienceRequest& request);
 
 /// Writes an audience as CSV (item_id,user_id,score). Ids are mapped
 /// through the optional IdMaps when given, else written as integers.
+/// IOError when any write, the flush or the close fails.
 Status WriteAudienceCsv(const std::vector<AudienceEntry>& audience,
                         const std::string& path,
                         const data::IdMap* items = nullptr,
@@ -50,11 +54,12 @@ struct NewsletterEntry {
   std::vector<core::Scored> items;
 };
 
-/// Builds per-user shortlists from a fitted engine.
+/// Builds per-user shortlists in request order.
 Result<std::vector<NewsletterEntry>> BuildNewsletter(
-    const core::UniMatchEngine& engine, const NewsletterRequest& request);
+    const EngineSnapshot& snapshot, const NewsletterRequest& request);
 
-/// Writes shortlists as CSV (user_id,rank,item_id,score).
+/// Writes shortlists as CSV (user_id,rank,item_id,score). IOError as for
+/// WriteAudienceCsv.
 Status WriteNewsletterCsv(const std::vector<NewsletterEntry>& newsletter,
                           const std::string& path,
                           const data::IdMap* items = nullptr,

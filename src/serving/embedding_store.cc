@@ -25,7 +25,7 @@ Status WriteMatrix(std::FILE* f, const Tensor& t) {
   return Status::OK();
 }
 
-Result<Tensor> ReadMatrix(std::FILE* f) {
+Result<Tensor> ReadMatrix(std::FILE* f, const std::string& path) {
   int64_t dims[2] = {0, 0};
   if (std::fread(dims, sizeof(dims), 1, f) != 1 || dims[0] < 0 ||
       dims[1] <= 0) {
@@ -39,10 +39,7 @@ Result<Tensor> ReadMatrix(std::FILE* f) {
     return Status::IOError("matrix header exceeds the file size");
   }
   Tensor t({dims[0], dims[1]});
-  if (std::fread(t.data(), sizeof(float), t.numel(), f) !=
-      static_cast<size_t>(t.numel())) {
-    return Status::IOError("truncated matrix data");
-  }
+  UNIMATCH_RETURN_IF_ERROR(ReadFiniteFloats(f, t.data(), t.numel(), path));
   return t;
 }
 }  // namespace
@@ -61,7 +58,7 @@ Status SaveEmbeddings(const EmbeddingBundle& bundle,
   }
   UNIMATCH_RETURN_IF_ERROR(WriteMatrix(f.get(), bundle.user_embeddings));
   UNIMATCH_RETURN_IF_ERROR(WriteMatrix(f.get(), bundle.item_embeddings));
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Result<EmbeddingBundle> LoadEmbeddings(const std::string& path) {
@@ -83,8 +80,8 @@ Result<EmbeddingBundle> LoadEmbeddings(const std::string& path) {
   if (std::fread(&bundle.version, sizeof(bundle.version), 1, f.get()) != 1) {
     return Status::IOError("truncated bundle header");
   }
-  UNIMATCH_ASSIGN_OR_RETURN(bundle.user_embeddings, ReadMatrix(f.get()));
-  UNIMATCH_ASSIGN_OR_RETURN(bundle.item_embeddings, ReadMatrix(f.get()));
+  UNIMATCH_ASSIGN_OR_RETURN(bundle.user_embeddings, ReadMatrix(f.get(), path));
+  UNIMATCH_ASSIGN_OR_RETURN(bundle.item_embeddings, ReadMatrix(f.get(), path));
   return bundle;
 }
 

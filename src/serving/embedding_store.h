@@ -27,10 +27,12 @@ struct EmbeddingBundle {
   Tensor item_embeddings;  // [K, d]
 };
 
-/// Writes a bundle to `path` (binary, versioned, magic-checked).
+/// Writes a bundle to `path` (binary, versioned, magic-checked). IOError
+/// when any write, the flush or the close fails.
 Status SaveEmbeddings(const EmbeddingBundle& bundle, const std::string& path);
 
-/// Reads a bundle back.
+/// Reads a bundle back. IOError when the file is corrupt or holds a NaN or
+/// infinite value.
 Result<EmbeddingBundle> LoadEmbeddings(const std::string& path);
 
 /// Mean L2 distance between matching rows of two embedding matrices —

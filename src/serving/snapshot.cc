@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/ann/pq.h"
 #include "src/obs/obs.h"
 #include "src/util/contract.h"
 
@@ -11,31 +10,10 @@ namespace unimatch::serving {
 
 namespace {
 
-// Query rows are dequantized per request into a caller-provided buffer.
-// kF32 tables hand back the row pointer directly (no copy). The stack
-// buffer covers every realistic embedding width; wider tables spill to the
-// heap vector.
-constexpr int64_t kStackQueryDim = 256;
-
-const float* QueryRow(const QuantizedMatrix& table, int64_t row,
-                      float (&stack)[kStackQueryDim],
-                      std::vector<float>& heap) {
-  if (table.type() == ScalarType::kF32) return table.f32_row(row);
-  float* out = stack;
-  if (table.cols() > kStackQueryDim) {
-    heap.resize(table.cols());
-    out = heap.data();
-  }
-  table.DequantizeRow(row, out);
-  return out;
-}
-
-// Shared batched-query path behind MultiRecommendItems / MultiTargetUsers:
-// validates every id, compacts the valid query rows into one [nv, d]
-// workspace buffer, runs a single MultiSearch, and fans the query-major
-// results back to per-slot Results in input order. `validate` must return
-// exactly the Status the single-query API reports for that id, so batched
-// and unbatched callers observe identical errors.
+// The batched query path behind every IR/UT answer: validates every id,
+// compacts the valid query rows into one [nv, d] workspace buffer, runs a
+// single MultiSearch, and fans the query-major results back to per-slot
+// Results in input order. An invalid id's slot carries `validate`'s Status.
 template <typename Validate>
 void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
                 const int64_t* ids, int64_t nq, int n, Validate validate,
@@ -52,8 +30,8 @@ void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
   int64_t nv = 0;
   for (int64_t i = 0; i < nq; ++i) {
     if (!validate(ids[i]).ok()) continue;
-    // DequantizeRow writes the same floats QueryRow hands the single-query
-    // path (a copy instead of an alias for kF32), so scores match bitwise.
+    // DequantizeRow writes the row's float values (a copy of them for
+    // kF32), so every score equals Index::Search on that row bitwise.
     table.DequantizeRow(ids[i], qbuf + nv * d);
     slots[i] = nv++;
   }
@@ -82,6 +60,23 @@ void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
 
 }  // namespace
 
+std::shared_ptr<const EngineSnapshot> EngineSnapshot::Make(
+    int64_t version, QuantizedMatrix user_table, QuantizedMatrix item_table,
+    std::vector<uint8_t> servable,
+    std::shared_ptr<const ann::Index> item_index,
+    std::shared_ptr<const ann::Index> user_index) {
+  auto snap = std::make_shared<EngineSnapshot>(Private{});
+  snap->version_ = version;
+  snap->user_table_ = std::move(user_table);
+  snap->item_table_ = std::move(item_table);
+  snap->servable_ = std::move(servable);
+  snap->item_index_ = std::move(item_index);
+  snap->user_index_ = std::move(user_index);
+  UM_GAUGE_SET("serving.frontend.snapshot.table_bytes_per_user",
+               snap->table_bytes_per_user());
+  return snap;
+}
+
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEngine(
     const core::UniMatchEngine& engine, int64_t version,
     SnapshotOptions options) {
@@ -89,35 +84,20 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEngine(
     return Status::FailedPrecondition("cannot snapshot an unfitted engine");
   }
   UM_SCOPED_TIMER("serving.frontend.snapshot.build.ms");
-  auto snap = std::make_shared<EngineSnapshot>(Private{});
-  snap->version_ = version;
-  // For kF32 the QuantizedMatrix aliases the engine's refcounted Storage:
-  // the snapshot pins the matrices as of now, and a later RebuildIndexes in
-  // the engine rebinds the engine's handles without touching these buffers.
+  // The generation's f32 tables alias refcounted Storage, so a later
+  // refresh replaces the engine's snapshot without touching these buffers.
   // Quantized storage copies into fresh code buffers and never retains the
   // floats.
-  snap->user_table_ =
-      QuantizedMatrix::Quantize(engine.user_embeddings(),
-                                options.table_storage);
-  snap->item_table_ =
-      QuantizedMatrix::Quantize(engine.item_embeddings(),
-                                options.table_storage);
-  snap->num_users_ = snap->user_table_.rows();
-  snap->num_items_ = snap->item_table_.rows();
-  snap->dim_ = snap->item_table_.cols();
-  const data::DatasetSplits* splits = engine.splits();
-  UM_CHECK(splits != nullptr);
-  snap->servable_.reserve(splits->histories.size());
-  for (const auto& history : splits->histories) {
-    snap->servable_.push_back(history.empty() ? 0 : 1);
-  }
-  // The engine's indexes are built over exactly these matrices and are
-  // never mutated once built, so the snapshot shares them.
-  snap->item_index_ = engine.item_index();
-  snap->user_index_ = engine.user_index();
-  UM_GAUGE_SET("serving.frontend.snapshot.table_bytes_per_user",
-               snap->table_bytes_per_user());
-  return std::shared_ptr<const EngineSnapshot>(std::move(snap));
+  const EngineSnapshot& generation = *engine.snapshot();
+  const auto table = [&](const QuantizedMatrix& f32) {
+    return options.table_storage == ScalarType::kF32
+               ? f32
+               : QuantizedMatrix::Quantize(f32.Dequantize(),
+                                           options.table_storage);
+  };
+  return Make(version, table(generation.user_table_),
+              table(generation.item_table_), generation.servable_,
+              generation.item_index_, generation.user_index_);
 }
 
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEmbeddings(
@@ -136,70 +116,30 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEmbeddings(
         "servable_users size must match the user count");
   }
   UM_SCOPED_TIMER("serving.frontend.snapshot.build.ms");
-  auto snap = std::make_shared<EngineSnapshot>(Private{});
-  snap->version_ = version;
-  snap->user_table_ =
-      QuantizedMatrix::Quantize(user_embeddings, options.table_storage);
-  snap->item_table_ =
-      QuantizedMatrix::Quantize(item_embeddings, options.table_storage);
-  snap->num_users_ = snap->user_table_.rows();
-  snap->num_items_ = snap->item_table_.rows();
-  snap->dim_ = snap->item_table_.cols();
-  snap->servable_ = std::move(servable_users);
-  std::unique_ptr<ann::Index> item_index, user_index;
-  if (options.table_storage == ScalarType::kF32) {
-    item_index = std::make_unique<ann::BruteForceIndex>();
-    user_index = std::make_unique<ann::BruteForceIndex>();
-  } else {
-    // Quantized tables get the matching quantized flat scan, so candidate
-    // scores come from the same codes the tables hold.
-    item_index =
-        std::make_unique<ann::QuantizedFlatIndex>(options.table_storage);
-    user_index =
-        std::make_unique<ann::QuantizedFlatIndex>(options.table_storage);
-  }
+  // Each table is the one its index scans, so candidate scores come from
+  // the codes the snapshot holds. Build rejects an empty table.
+  auto item_index =
+      std::make_shared<ann::BruteForceIndex>(options.table_storage);
+  auto user_index =
+      std::make_shared<ann::BruteForceIndex>(options.table_storage);
   UNIMATCH_RETURN_IF_ERROR(item_index->Build(item_embeddings));
   UNIMATCH_RETURN_IF_ERROR(user_index->Build(user_embeddings));
-  snap->item_index_ = std::move(item_index);
-  snap->user_index_ = std::move(user_index);
-  UM_GAUGE_SET("serving.frontend.snapshot.table_bytes_per_user",
-               snap->table_bytes_per_user());
-  return std::shared_ptr<const EngineSnapshot>(std::move(snap));
+  return Make(version, user_index->table(), item_index->table(),
+              std::move(servable_users), item_index, user_index);
 }
 
 Result<std::vector<core::Scored>> EngineSnapshot::RecommendItems(
     data::UserId user, int n) const {
-  if (n <= 0) return Status::InvalidArgument("n must be positive");
-  if (user < 0 || user >= num_users()) {
-    return Status::NotFound("unknown user id");
-  }
-  if (!servable_.empty() && servable_[user] == 0) {
-    return Status::NotFound("user has no interaction history");
-  }
-  float stack[kStackQueryDim];
-  std::vector<float> heap;
-  const float* uvec = QueryRow(user_table_, user, stack, heap);
-  std::vector<core::Scored> out;
-  for (const auto& r : item_index_->Search(uvec, n)) {
-    out.push_back({r.id, r.score});
-  }
-  return out;
+  std::vector<Result<std::vector<core::Scored>>> out;
+  MultiRecommendItems(&user, 1, n, &out);
+  return std::move(out[0]);
 }
 
 Result<std::vector<core::Scored>> EngineSnapshot::TargetUsers(
     data::ItemId item, int n) const {
-  if (n <= 0) return Status::InvalidArgument("n must be positive");
-  if (item < 0 || item >= num_items()) {
-    return Status::NotFound("unknown item id");
-  }
-  float stack[kStackQueryDim];
-  std::vector<float> heap;
-  const float* ivec = QueryRow(item_table_, item, stack, heap);
-  std::vector<core::Scored> out;
-  for (const auto& r : user_index_->Search(ivec, n)) {
-    out.push_back({r.id, r.score});
-  }
-  return out;
+  std::vector<Result<std::vector<core::Scored>>> out;
+  MultiTargetUsers(&item, 1, n, &out);
+  return std::move(out[0]);
 }
 
 void EngineSnapshot::MultiRecommendItems(

@@ -39,20 +39,23 @@ namespace unimatch::serving {
 struct SnapshotOptions {
   /// Element type of the frozen embedding tables (src/tensor/quant.h).
   /// kF16/kI8 cut the per-user memory bill 2x/~3-4x; query rows are
-  /// dequantized per request (one [d] stack buffer), and FromEmbeddings
-  /// pairs quantized tables with QuantizedFlatIndex so candidate scoring
-  /// stays consistent with the stored codes.
+  /// dequantized per request, and FromEmbeddings pairs the tables with a
+  /// BruteForceIndex of the same storage type, so candidate scoring stays
+  /// consistent with the stored codes.
   ScalarType table_storage = ScalarType::kF32;
 };
 
-/// Frozen model + index state serving one traffic generation. Construct
+/// Frozen model + index state serving one traffic generation: the one query
+/// object behind every IR/UT answer for a known id. UniMatchEngine answers
+/// through the snapshot of its current generation; campaigns
+/// (src/serving/campaign.h) and the serving frontend take one. Construct
 /// via FromEngine / FromEmbeddings; always held as shared_ptr<const>.
 class EngineSnapshot {
  public:
-  /// Snapshots a fitted engine: aliases (or quantizes, per
-  /// `options.table_storage`) its embedding matrices and shares the
-  /// engine's current serving indexes, which a later refresh replaces
-  /// rather than mutates.
+  /// Snapshots a fitted engine's current generation. kF32 shares all of
+  /// it (tables, servable flags, indexes); other storage types quantize
+  /// the tables and share the rest. Either way no index is built: a later
+  /// refresh replaces the engine's generation rather than mutating it.
   /// `version` is the promotion counter (e.g. the training month); it only
   /// feeds observability.
   static Result<std::shared_ptr<const EngineSnapshot>> FromEngine(
@@ -60,28 +63,29 @@ class EngineSnapshot {
       SnapshotOptions options = {});
 
   /// Builds a snapshot directly from embedding matrices ([M, d] users,
-  /// [K, d] items) — the hand-off path for embeddings loaded from an
-  /// EmbeddingBundle, and the test/bench path that needs no trained
-  /// engine. Float tables get brute-force indexes; quantized tables get
-  /// QuantizedFlatIndex of the same scalar type. Users with an all-zero
-  /// embedding row are treated as unservable only when `servable_users`
-  /// is given.
+  /// [K, d] items, both non-empty) — the hand-off path for embeddings
+  /// loaded from an EmbeddingBundle, and the test/bench path that needs no
+  /// trained engine. Both tables get a BruteForceIndex of the table
+  /// storage type. Users with an all-zero embedding row are treated as
+  /// unservable only when `servable_users` is given.
   static Result<std::shared_ptr<const EngineSnapshot>> FromEmbeddings(
       Tensor user_embeddings, Tensor item_embeddings, int64_t version,
       std::vector<uint8_t> servable_users = {}, SnapshotOptions options = {});
 
-  /// IR: top-n items for a known user, from the frozen matrices/indexes.
+  /// IR: top-n items for a known user — slot 0 of a one-id
+  /// MultiRecommendItems.
   Result<std::vector<core::Scored>> RecommendItems(data::UserId user,
                                                    int n) const;
-  /// UT: top-n users for a known item.
+  /// UT: top-n users for a known item — slot 0 of a one-id
+  /// MultiTargetUsers.
   Result<std::vector<core::Scored>> TargetUsers(data::ItemId item,
                                                 int n) const;
 
-  /// Batched IR: answers `users[0..nq)` with one grouped MultiSearch
-  /// against the item index instead of nq independent scans. Appends
-  /// exactly nq Results to *out in input order; slot i carries the same
-  /// value or error RecommendItems(users[i], n) returns (bitwise — the
-  /// batched index path is score-exact, see src/ann/index.h). Invalid ids
+  /// Batched IR: answers `users[0..nq)` (nq > 0) with one grouped
+  /// MultiSearch against the item index instead of nq independent scans.
+  /// Appends exactly nq Results to *out in input order; slot i carries
+  /// RecommendItems(users[i], n) — bitwise, since the batched index path
+  /// is score-exact at any batch size (see src/ann/index.h). Invalid ids
   /// cost no query slot: valid rows are compacted into one [nv, d]
   /// workspace buffer and searched together.
   void MultiRecommendItems(
@@ -93,9 +97,9 @@ class EngineSnapshot {
       std::vector<Result<std::vector<core::Scored>>>* out) const;
 
   int64_t version() const { return version_; }
-  int64_t num_users() const { return num_users_; }
-  int64_t num_items() const { return num_items_; }
-  int64_t dim() const { return dim_; }
+  int64_t num_users() const { return user_table_.rows(); }
+  int64_t num_items() const { return item_table_.rows(); }
+  int64_t dim() const { return item_table_.cols(); }
 
   /// The frozen tables. For kF32 snapshots these alias the source float
   /// matrices; quantized snapshots drop the floats entirely.
@@ -112,9 +116,8 @@ class EngineSnapshot {
   Tensor user_embeddings() const { return user_table_.Dequantize(); }
   Tensor item_embeddings() const { return item_table_.Dequantize(); }
 
-  /// Passkey: lets the factories use std::make_shared while keeping
-  /// direct construction private — always go through FromEngine /
-  /// FromEmbeddings.
+  /// Passkey: lets Make use std::make_shared while keeping direct
+  /// construction private — always go through FromEngine / FromEmbeddings.
   class Private {
     friend class EngineSnapshot;
     Private() = default;
@@ -122,18 +125,28 @@ class EngineSnapshot {
   explicit EngineSnapshot(Private) {}
 
  private:
+  // The engine builds each generation's snapshot through Make, and
+  // searches the item index for ad-hoc histories.
+  friend class core::UniMatchEngine;
+
+  /// The one construction path behind FromEngine, FromEmbeddings and the
+  /// engine's per-generation snapshot: stores the tables, flags and
+  /// indexes as given and exports the table_bytes_per_user gauge.
+  static std::shared_ptr<const EngineSnapshot> Make(
+      int64_t version, QuantizedMatrix user_table, QuantizedMatrix item_table,
+      std::vector<uint8_t> servable,
+      std::shared_ptr<const ann::Index> item_index,
+      std::shared_ptr<const ann::Index> user_index);
+
   int64_t version_ = 0;
-  int64_t num_users_ = 0;
-  int64_t num_items_ = 0;
-  int64_t dim_ = 0;
   QuantizedMatrix user_table_;  // [M, d], immutable after construction
   QuantizedMatrix item_table_;  // [K, d]
   /// servable_[u] == 0 marks users without usable history/embedding
-  /// (RecommendItems returns NotFound, matching UniMatchEngine). Empty
-  /// means every user is servable.
+  /// (RecommendItems returns NotFound). Empty means every user is
+  /// servable.
   std::vector<uint8_t> servable_;
-  std::shared_ptr<const ann::Index> item_index_;  // queried by RecommendItems
-  std::shared_ptr<const ann::Index> user_index_;  // queried by TargetUsers
+  std::shared_ptr<const ann::Index> item_index_;  // queried by IR
+  std::shared_ptr<const ann::Index> user_index_;  // queried by UT
 };
 
 /// The single swap point between training and serving. Thread-safe by

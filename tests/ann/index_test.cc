@@ -55,6 +55,44 @@ TEST(BruteForceIndexTest, RejectsNonMatrix) {
   EXPECT_TRUE(index.Build(Tensor({2, 2, 2})).IsInvalidArgument());
 }
 
+TEST(BruteForceIndexTest, RejectsEmptyMatrixForEveryStorage) {
+  for (const ScalarType storage :
+       {ScalarType::kF32, ScalarType::kF16, ScalarType::kI8}) {
+    BruteForceIndex index(storage);
+    EXPECT_TRUE(index.Build(Tensor({2, 2, 2})).IsInvalidArgument())
+        << ScalarTypeName(storage);
+    EXPECT_TRUE(index.Build(Tensor({0, 4})).IsInvalidArgument())
+        << ScalarTypeName(storage);
+  }
+}
+
+TEST(BruteForceIndexTest, Int8RecallFloorVsExact) {
+  Tensor vecs = RandomUnitVectors(1000, 16, 12);
+  BruteForceIndex flat(ScalarType::kI8);
+  BruteForceIndex exact;
+  ASSERT_TRUE(flat.Build(vecs).ok());
+  ASSERT_TRUE(exact.Build(vecs).ok());
+  Tensor queries = RandomUnitVectors(50, 16, 13);
+  const double recall = MeasureRecallAtK(flat, exact, queries, 10);
+  // The CI bench gates >= 0.95 on trained embeddings; random unit vectors
+  // are at least as separable.
+  EXPECT_GE(recall, 0.95);
+  // And the table really is >= 3x smaller than f32 at d = 16.
+  EXPECT_GE(1000.0 * 16.0 * 4.0 /
+                static_cast<double>(flat.table().payload_bytes()),
+            3.0);
+}
+
+TEST(BruteForceIndexTest, F16RecallNearPerfect) {
+  Tensor vecs = RandomUnitVectors(600, 16, 14);
+  BruteForceIndex flat(ScalarType::kF16);
+  BruteForceIndex exact;
+  ASSERT_TRUE(flat.Build(vecs).ok());
+  ASSERT_TRUE(exact.Build(vecs).ok());
+  Tensor queries = RandomUnitVectors(40, 16, 15);
+  EXPECT_GE(MeasureRecallAtK(flat, exact, queries, 10), 0.99);
+}
+
 TEST(IvfIndexTest, BuildsWithDefaults) {
   Tensor vecs = RandomUnitVectors(200, 8, 3);
   IvfIndex index;

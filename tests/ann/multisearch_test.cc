@@ -37,13 +37,15 @@ struct Backend {
   std::unique_ptr<Index> index;
 };
 
-// All six serving backends: exact scans (flat, quantized flat), inverted
+// Every serving backend: exact scans over f32, f16 and int8 rows, inverted
 // files (IVF, IVF-PQ), and graphs (HNSW over f32 and int8 rows).
 std::vector<Backend> MakeBackends(const Tensor& vectors) {
   std::vector<Backend> backends;
   backends.push_back({"flat", std::make_unique<BruteForceIndex>()});
   backends.push_back(
-      {"qflat", std::make_unique<QuantizedFlatIndex>(ScalarType::kI8)});
+      {"flat_f16", std::make_unique<BruteForceIndex>(ScalarType::kF16)});
+  backends.push_back(
+      {"flat_i8", std::make_unique<BruteForceIndex>(ScalarType::kI8)});
   IvfConfig ivf;
   ivf.nlist = 16;
   ivf.nprobe = 4;
@@ -54,9 +56,9 @@ std::vector<Backend> MakeBackends(const Tensor& vectors) {
   backends.push_back({"ivfpq", std::make_unique<IvfPqIndex>(pq)});
   HnswConfig hnsw;
   backends.push_back({"hnsw", std::make_unique<HnswIndex>(hnsw)});
-  HnswConfig hnsw_q;
-  hnsw_q.storage = ScalarType::kI8;
-  backends.push_back({"hnsw_q", std::make_unique<HnswIndex>(hnsw_q)});
+  HnswConfig hnsw_i8;
+  hnsw_i8.storage = ScalarType::kI8;
+  backends.push_back({"hnsw_i8", std::make_unique<HnswIndex>(hnsw_i8)});
   for (Backend& b : backends) {
     const Status st = b.index->Build(vectors);
     UM_CHECK(st.ok()) << b.name << ": " << st.ToString();

@@ -24,59 +24,6 @@ Tensor RandomUnitVectors(int64_t n, int64_t d, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// QuantizedFlatIndex
-// ---------------------------------------------------------------------------
-
-TEST(QuantizedFlatIndexTest, RejectsBadInput) {
-  QuantizedFlatIndex index;
-  EXPECT_TRUE(index.Build(Tensor({2, 2, 2})).IsInvalidArgument());
-  EXPECT_TRUE(index.Build(Tensor({0, 4})).IsInvalidArgument());
-}
-
-TEST(QuantizedFlatIndexTest, F32StorageMatchesBruteForceExactly) {
-  Tensor vecs = RandomUnitVectors(400, 16, 10);
-  QuantizedFlatIndex flat(ScalarType::kF32);
-  BruteForceIndex exact;
-  ASSERT_TRUE(flat.Build(vecs).ok());
-  ASSERT_TRUE(exact.Build(vecs).ok());
-  Tensor queries = RandomUnitVectors(20, 16, 11);
-  for (int64_t q = 0; q < queries.dim(0); ++q) {
-    const auto a = flat.Search(queries.data() + q * 16, 10);
-    const auto b = exact.Search(queries.data() + q * 16, 10);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id) << "query " << q << " rank " << i;
-    }
-  }
-}
-
-TEST(QuantizedFlatIndexTest, Int8RecallFloorVsExact) {
-  Tensor vecs = RandomUnitVectors(1000, 16, 12);
-  QuantizedFlatIndex flat(ScalarType::kI8);
-  BruteForceIndex exact;
-  ASSERT_TRUE(flat.Build(vecs).ok());
-  ASSERT_TRUE(exact.Build(vecs).ok());
-  Tensor queries = RandomUnitVectors(50, 16, 13);
-  const double recall = MeasureRecallAtK(flat, exact, queries, 10);
-  // The CI bench gates >= 0.95 on trained embeddings; random unit vectors
-  // are at least as separable.
-  EXPECT_GE(recall, 0.95);
-  // And the table really is >= 3x smaller than f32 at d = 16.
-  EXPECT_GE(1000.0 * 16.0 * 4.0 / static_cast<double>(flat.payload_bytes()),
-            3.0);
-}
-
-TEST(QuantizedFlatIndexTest, F16RecallNearPerfect) {
-  Tensor vecs = RandomUnitVectors(600, 16, 14);
-  QuantizedFlatIndex flat(ScalarType::kF16);
-  BruteForceIndex exact;
-  ASSERT_TRUE(flat.Build(vecs).ok());
-  ASSERT_TRUE(exact.Build(vecs).ok());
-  Tensor queries = RandomUnitVectors(40, 16, 15);
-  EXPECT_GE(MeasureRecallAtK(flat, exact, queries, 10), 0.99);
-}
-
-// ---------------------------------------------------------------------------
 // IvfPqIndex
 // ---------------------------------------------------------------------------
 

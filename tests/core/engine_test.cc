@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <unordered_set>
 
 #include "src/data/synthetic.h"
@@ -155,6 +157,59 @@ TEST_F(EngineFixture, CheckpointRoundtripPreservesRecommendations) {
   std::remove(path.c_str());
 }
 
+// Every IR and UT answer of `engine`, errors included.
+std::vector<Result<std::vector<Scored>>> AllAnswers(
+    const UniMatchEngine& engine) {
+  std::vector<Result<std::vector<Scored>>> out;
+  for (data::UserId u = 0; u < 600; ++u) {
+    out.push_back(engine.RecommendItems(u, 10));
+  }
+  for (data::ItemId i = 0; i < 80; ++i) out.push_back(engine.TargetUsers(i, 10));
+  return out;
+}
+
+bool SameAnswers(const std::vector<Result<std::vector<Scored>>>& a,
+                 const std::vector<Result<std::vector<Scored>>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t q = 0; q < a.size(); ++q) {
+    if (a[q].ok() != b[q].ok()) return false;
+    if (!a[q].ok()) continue;
+    if (a[q]->size() != b[q]->size()) return false;
+    for (size_t r = 0; r < a[q]->size(); ++r) {
+      if ((*a[q])[r].id != (*b[q])[r].id ||
+          std::memcmp(&(*a[q])[r].score, &(*b[q])[r].score, sizeof(float)) !=
+              0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST_F(EngineFixture, NonFiniteCheckpointRejectedAndAnswersUnchanged) {
+  const auto before = AllAnswers(engine());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/nonfinite.ckpt";
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    ASSERT_TRUE(engine().SaveCheckpoint(path).ok());
+    // Overwrite the checkpoint's last float.
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -static_cast<long>(sizeof(float)), SEEK_END), 0);
+    ASSERT_EQ(std::fwrite(&bad, sizeof(bad), 1, f), 1u);
+    std::fclose(f);
+    const Status st = engine().LoadCheckpoint(path);
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    EXPECT_TRUE(SameAnswers(AllAnswers(engine()), before)) << bad;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(EngineFixture, SaveCheckpointToFullDeviceIsIOError) {
+  EXPECT_TRUE(engine().SaveCheckpoint("/dev/full").IsIOError());
+}
+
 TEST(EngineValidationTest, EmptyLogRejected) {
   UniMatchEngine e(SmallEngineConfig());
   EXPECT_TRUE(e.Fit(data::InteractionLog(5, 5)).IsInvalidArgument());
@@ -201,13 +256,14 @@ TEST(EngineIvfTest, IvfIndexServesQueries) {
 }
 
 TEST(EngineQuantIndexTest, CompressedIndexKindsServeQueries) {
-  // The two quantized index kinds added alongside src/ann/pq.h: both must
-  // fit and answer IR/UT through the engine facade.
-  for (const char* kind : {"ivfpq", "hnsw_q"}) {
+  // The compressed serving indexes: IVF-PQ codes and HNSW over int8 rows.
+  // Both must fit and answer IR/UT through the engine facade.
+  for (const char* kind : {"ivfpq", "hnsw"}) {
     EngineConfig cfg = SmallEngineConfig();
     cfg.index = kind;
     cfg.ivfpq.nprobe = 16;
     cfg.ivfpq.num_subspaces = 16;  // ds = 1, the accuracy end (see bench)
+    cfg.hnsw.storage = ScalarType::kI8;
     UniMatchEngine e(cfg);
     ASSERT_TRUE(e.Fit(EngineLog()).ok()) << kind;
     auto rec = e.RecommendItems(1, 5);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "src/nn/layers.h"
 
@@ -190,6 +191,35 @@ TEST(SerializeTest, MismatchedSecondRecordLeavesEveryParameterUnchanged) {
   EXPECT_TRUE(BitwiseEqual(a.value(), a0));
   EXPECT_TRUE(BitwiseEqual(b.value(), b0));
   std::remove(path.c_str());
+}
+
+TEST(SerializeTest, NonFiniteValueRejectedAndLeavesParametersUnchanged) {
+  const std::string path = TempPath("nonfinite.ckpt");
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    SaveTwoParams(path);
+    // Overwrite the last float of "b".
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -static_cast<long>(sizeof(float)), SEEK_END), 0);
+    ASSERT_EQ(std::fwrite(&bad, sizeof(bad), 1, f), 1u);
+    std::fclose(f);
+
+    Variable a(Tensor({4, 4}), true);
+    Variable b(Tensor({4, 4}), true);
+    const Tensor a0 = a.value().Clone(), b0 = b.value().Clone();
+    std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
+    EXPECT_TRUE(LoadParameters(path, &params).IsIOError()) << bad;
+    EXPECT_TRUE(BitwiseEqual(a.value(), a0));
+    EXPECT_TRUE(BitwiseEqual(b.value(), b0));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, SaveToFullDeviceIsIOError) {
+  Variable a(Tensor({4, 4}), true);
+  std::vector<NamedParameter> params = {{"a", a}};
+  EXPECT_TRUE(SaveParameters(params, "/dev/full").IsIOError());
 }
 
 TEST(SnapshotTest, SnapshotRestoreRoundtrip) {

@@ -79,6 +79,20 @@ TEST(SnapshotTest, FromEmbeddingsValidates) {
                                              0, {1, 0})
                   .status()
                   .IsInvalidArgument());
+  // An empty table is rejected whatever the storage type.
+  for (const ScalarType storage :
+       {ScalarType::kF32, ScalarType::kF16, ScalarType::kI8}) {
+    EXPECT_TRUE(EngineSnapshot::FromEmbeddings(Tensor({0, 2}), Tensor({4, 2}),
+                                               0, {}, SnapshotOptions{storage})
+                    .status()
+                    .IsInvalidArgument())
+        << ScalarTypeName(storage);
+    EXPECT_TRUE(EngineSnapshot::FromEmbeddings(Tensor({4, 2}), Tensor({0, 2}),
+                                               0, {}, SnapshotOptions{storage})
+                    .status()
+                    .IsInvalidArgument())
+        << ScalarTypeName(storage);
+  }
 }
 
 TEST(SnapshotTest, ServesBothDirections) {

@@ -168,6 +168,9 @@ TEST(StorageDeathTest, ViewOutOfWindowChecks) {
 
 TEST(StorageTest, PooledBufferReturnsToPoolAndIsRecycled) {
   BufferPool* pool = BufferPool::Global();
+  // Start from an empty size class: an earlier test in the same process
+  // may have left a buffer of this class parked.
+  pool->Trim();
   // Odd size so this test's size class (16384 floats) is its own.
   constexpr int64_t kN = 9001;
   const int64_t cls_bytes =

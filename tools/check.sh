@@ -3,7 +3,9 @@
 #   1. tools/lint.py (repo-local static rules)
 #   2. release preset:    configure + build + kernel equivalence tests
 #      (tier1 tests matching Kernels|Hnsw — the vectorized-vs-reference
-#      suite on the optimized, runtime-dispatched build)
+#      suite on the optimized, runtime-dispatched build), then every tier1
+#      test in one process, which ctest's process-per-test hides state
+#      leaking between tests from
 #   3. asan-ubsan preset: configure + build + ctest -L tier1
 #   4. tsan preset:       configure + build + ctest -L tier1
 #   5. clang-threadsafety preset: clang -Wthread-safety -Werror compile of
@@ -76,6 +78,8 @@ if [[ "$RUN_RELEASE" == 1 ]]; then
   stage "kernel equivalence tests [release]"
   ctest --test-dir build -L tier1 -R 'Kernels|Hnsw' --output-on-failure \
     -j "$JOBS"
+  stage "tier1 in one process [release]"
+  build/tests/unimatch_tests '--gtest_filter=-OptimaFixture.*'
 fi
 
 [[ "$RUN_ASAN" == 1 ]] && run_preset asan-ubsan
