@@ -29,7 +29,6 @@
 // measurement); see docs/PERFORMANCE.md for how the numbers are gated.
 
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -42,13 +41,8 @@
 namespace unimatch {
 namespace {
 
-bool SmokeMode() {
-  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
-
 int Run(int argc, char** argv) {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   double scale = bench::ParseScale(argc, argv);
   if (smoke) scale = std::min(scale, 0.05);
 

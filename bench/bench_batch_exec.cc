@@ -38,7 +38,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -58,11 +57,6 @@ namespace {
 constexpr int kTopK = 10;
 constexpr double kMinSpeedup = 2.0;
 const int64_t kBatchSizes[] = {1, 8, 32, 128};
-
-bool SmokeMode() {
-  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
 
 Tensor RandomUnitVectors(int64_t n, int64_t d, uint64_t seed) {
   Rng rng(seed);
@@ -186,7 +180,7 @@ BackendReport MeasureBackend(const std::string& name, const ann::Index& index,
 }
 
 int Main(int argc, char** argv) {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   double scale = bench::ParseScale(argc, argv);
   if (smoke) scale = std::min(scale, 0.1);
 

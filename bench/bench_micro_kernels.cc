@@ -163,11 +163,6 @@ BENCHMARK(BM_IvfSearch)->Arg(10000)->Arg(100000);
 // Direct before/after gemm measurement -> BENCH_kernels.json.
 // ---------------------------------------------------------------------------
 
-bool SmokeMode() {
-  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
-
 struct GemmShape {
   int64_t m, n, k;
   bool trans_b;  // false: axpy-layout kernel, true: dot-layout kernel
@@ -264,7 +259,7 @@ bool HasBenchmarkFilter(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   unimatch::bench::MetricsDumper metrics_dumper("micro_kernels");
-  const bool smoke = unimatch::SmokeMode();
+  const bool smoke = unimatch::bench::SmokeMode();
   unimatch::WriteKernelsJson(smoke);
 
   std::vector<char*> args(argv, argv + argc);

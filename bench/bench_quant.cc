@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -51,11 +50,6 @@ namespace {
 constexpr int kRecallK = 10;
 constexpr double kMinRecall = 0.95;
 constexpr double kMinCompression = 3.0;
-
-bool SmokeMode() {
-  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
 
 struct FrontierPoint {
   std::string index;
@@ -114,7 +108,7 @@ FrontierPoint Measure(const std::string& index_name,
 }
 
 int Main(int argc, char** argv) {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   double scale = bench::ParseScale(argc, argv);
   if (smoke) scale = std::min(scale, 0.1);
 

@@ -32,7 +32,6 @@
 // thread counts {1, 2, 4}); see docs/PERFORMANCE.md section 7.
 
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,11 +44,6 @@
 
 namespace unimatch {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
-  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
-}
 
 int64_t CounterValue(const char* name) {
   const obs::Counter* c = obs::MetricRegistry::Global()->FindCounter(name);
@@ -70,7 +64,7 @@ struct Run {
 };
 
 int Main(int argc, char** argv) {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::SmokeMode();
   double scale = bench::ParseScale(argc, argv);
   if (smoke) scale = std::min(scale, 0.05);
 

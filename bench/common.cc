@@ -290,4 +290,9 @@ double ParseScale(int argc, char** argv) {
   return 1.0;
 }
 
+bool SmokeMode() {
+  const char* env = std::getenv("UNIMATCH_BENCH_SMOKE");
+  return env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0';
+}
+
 }  // namespace unimatch::bench

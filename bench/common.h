@@ -95,6 +95,10 @@ inline std::string Pct(double v) { return FixedDigits(100.0 * v, 2); }
 /// environment variable; defaults to 1.
 double ParseScale(int argc, char** argv);
 
+/// True when UNIMATCH_BENCH_SMOKE is set to anything but "" or "0": the
+/// benches that honour it switch to their quick smoke configuration.
+bool SmokeMode();
+
 /// Escapes `s` for use inside a JSON string literal: backslash, double
 /// quote, and control characters (as \uXXXX). Every string value a bench
 /// interpolates into a BENCH_*.json must pass through here — dataset names

@@ -2,48 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 
 #include "src/obs/obs.h"
 #include "src/tensor/kernels.h"
 #include "src/util/contract.h"
-#include "src/util/mutex.h"
 #include "src/util/logging.h"
-#include "src/util/threadpool.h"
 
 namespace unimatch::ann {
-
-namespace {
-
-// Below this many nodes the per-insert work is too small for the locking
-// overhead of the parallel build to pay off.
-constexpr int64_t kParallelBuildMinNodes = 128;
-
-}  // namespace
-
-struct HnswIndex::BuildSync {
-  BuildSync(int64_t n, int64_t entry, int level)
-      : entry_point(entry), entry_level(level) {
-    for (int64_t i = 0; i < n; ++i) {
-      node_locks.emplace_back(lockrank::kHnswNode, "ann.hnsw.node", i);
-    }
-  }
-  // node_locks[i] guards layers_[l][i] for every layer l. Multi-node
-  // sections (Connect) lock the smaller node id first; the node id doubles
-  // as the lock-rank order token, so the validator aborts any same-rank
-  // acquisition that breaks that discipline. (The adjacency lists live in
-  // HnswIndex::layers_, whose per-element guarding by these dynamically
-  // indexed locks is beyond what UM_GUARDED_BY can express — the protocol
-  // is enforced here by the order tokens plus review.) A deque keeps the
-  // non-movable Mutex objects at stable addresses.
-  std::deque<Mutex> node_locks;
-  // Guards the build-time entry point/level. Ranked just below the node
-  // locks; never actually nested with them today.
-  Mutex entry_mutex{lockrank::kHnswEntry, "ann.hnsw.entry"};
-  int64_t entry_point UM_GUARDED_BY(entry_mutex);
-  int entry_level UM_GUARDED_BY(entry_mutex);
-};
 
 float HnswIndex::Score(const float* query, int64_t node) const {
   return quant_.Score(node, query);
@@ -90,87 +56,47 @@ Status HnswIndex::Build(const Tensor& vectors) {
   entry_point_ = 0;
   int entry_level = node_level_[0];
 
-  ThreadPool* pool = config_.pool;
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      n > kParallelBuildMinNodes) {
-    UM_COUNTER_INC("ann.hnsw.build.parallel");
-    UM_GAUGE_SET("ann.hnsw.build.threads",
-                 static_cast<double>(pool->num_threads()));
-    BuildSync sync(n, entry_point_, entry_level);
-    pool->ParallelFor(
-        1, n, [&](int64_t i) { InsertNode(i, &entry_level, &sync); },
-        /*min_shard=*/8);
-    // Workers have joined; publish the final entry point back to the index.
-    MutexLock lk(&sync.entry_mutex);
-    entry_point_ = sync.entry_point;
-  } else {
-    for (int64_t i = 1; i < n; ++i) InsertNode(i, &entry_level, nullptr);
-  }
+  for (int64_t i = 1; i < n; ++i) InsertNode(i, &entry_level);
   if (config_.storage != ScalarType::kF32) {
     vectors_ = Tensor();  // drop the float table; quant_ serves from here on
   }
   return Status::OK();
 }
 
-void HnswIndex::InsertNode(int64_t i, int* entry_level, BuildSync* sync) {
+void HnswIndex::InsertNode(int64_t i, int* entry_level) {
   const int level = node_level_[i];
   const float* q = vectors_.data() + i * dim();
-  // Build-path searches run on the inserting thread's workspace: a parallel
-  // build's workers each reuse their own visited stamps and beam heaps
-  // across every insertion they perform.
+  // Build-path searches reuse the thread's visited stamps and beam heaps
+  // across every insertion.
   SearchWorkspace& ws = ThreadLocalSearchWorkspace();
-  int64_t entry;
-  int elevel;
-  if (sync != nullptr) {
-    MutexLock lk(&sync->entry_mutex);
-    entry = sync->entry_point;
-    elevel = sync->entry_level;
-  } else {
-    entry = entry_point_;
-    elevel = *entry_level;
-  }
+  int64_t entry = entry_point_;
+  const int elevel = *entry_level;
   // Greedy descent through layers above this node's level.
   for (int l = elevel; l > level; --l) {
-    entry = GreedyStep(q, entry, l, ws, sync);
+    entry = GreedyStep(q, entry, l);
   }
   // Insert with beam search on each layer from min(level, elevel) down to 0.
   for (int l = std::min(level, elevel); l >= 0; --l) {
     const auto& candidates =
-        SearchLayer(q, entry, config_.ef_construction, l, ws, sync);
-    Connect(i, l, candidates, sync);
+        SearchLayer(q, entry, config_.ef_construction, l, ws);
+    Connect(i, l, candidates);
     entry = candidates.empty() ? entry : candidates.front().second;
   }
   if (level > elevel) {
-    if (sync != nullptr) {
-      MutexLock lk(&sync->entry_mutex);
-      // Re-check: another thread may have raised the entry meanwhile.
-      if (level > sync->entry_level) {
-        sync->entry_point = i;
-        sync->entry_level = level;
-      }
-    } else {
-      entry_point_ = i;
-      *entry_level = level;
-    }
+    entry_point_ = i;
+    *entry_level = level;
   }
 }
 
-int64_t HnswIndex::GreedyStep(const float* query, int64_t entry, int layer,
-                              SearchWorkspace& ws, BuildSync* sync) const {
+int64_t HnswIndex::GreedyStep(const float* query, int64_t entry,
+                              int layer) const {
   int64_t current = entry;
   float best = Score(query, current);
-  std::vector<int64_t>& snapshot = ws.neighbor_snapshot();
   bool improved = true;
   while (improved) {
     improved = false;
-    const std::vector<int64_t>* nbrs = &layers_[layer][current];
-    if (sync != nullptr) {
-      // Concurrent inserts mutate adjacency lists; walk a locked copy.
-      MutexLock lk(&sync->node_locks[current]);
-      snapshot = layers_[layer][current];
-      nbrs = &snapshot;
-    }
-    for (int64_t nb : *nbrs) {
+    const std::vector<int64_t>& nbrs = layers_[layer][current];
+    for (int64_t nb : nbrs) {
       const float s = Score(query, nb);
       if (s > best) {
         best = s;
@@ -183,8 +109,8 @@ int64_t HnswIndex::GreedyStep(const float* query, int64_t entry, int layer,
 }
 
 const std::vector<std::pair<float, int64_t>>& HnswIndex::SearchLayer(
-    const float* query, int64_t entry, int ef, int layer, SearchWorkspace& ws,
-    BuildSync* sync) const {
+    const float* query, int64_t entry, int ef, int layer,
+    SearchWorkspace& ws) const {
   // Max-heap of candidates to expand; min-heap of current best `ef`. Both
   // live in workspace vectors driven by std::push_heap/pop_heap — the
   // algorithms std::priority_queue is specified over, so the expansion and
@@ -197,7 +123,6 @@ const std::vector<std::pair<float, int64_t>>& HnswIndex::SearchLayer(
   candidates.clear();
   best.clear();
   ws.BeginVisitEpoch(n_);
-  std::vector<int64_t>& snapshot = ws.neighbor_snapshot();
 
   const float es = Score(query, entry);
   candidates.push_back({es, entry});
@@ -209,13 +134,7 @@ const std::vector<std::pair<float, int64_t>>& HnswIndex::SearchLayer(
     std::pop_heap(candidates.begin(), candidates.end());
     candidates.pop_back();
     if (static_cast<int>(best.size()) >= ef && cs < best.front().first) break;
-    const std::vector<int64_t>* nbrs = &layers_[layer][cn];
-    if (sync != nullptr) {
-      MutexLock lk(&sync->node_locks[cn]);
-      snapshot = layers_[layer][cn];
-      nbrs = &snapshot;
-    }
-    for (int64_t nb : *nbrs) {
+    for (int64_t nb : layers_[layer][cn]) {
       if (!ws.Visit(nb)) continue;
       const float s = Score(query, nb);
       if (static_cast<int>(best.size()) < ef || s > best.front().first) {
@@ -244,28 +163,16 @@ const std::vector<std::pair<float, int64_t>>& HnswIndex::SearchLayer(
 
 void HnswIndex::Connect(
     int64_t node, int layer,
-    const std::vector<std::pair<float, int64_t>>& candidates,
-    BuildSync* sync) {
+    const std::vector<std::pair<float, int64_t>>& candidates) {
   const int max_links = layer == 0 ? 2 * config_.m : config_.m;
   auto& adj = layers_[layer];
   const int take = std::min<int>(max_links, candidates.size());
   for (int k = 0; k < take; ++k) {
     const int64_t nb = candidates[k].second;
     if (nb == node) continue;
-    if (sync != nullptr) {
-      // Lock both endpoints, smaller node id first (deterministic order,
-      // no deadlock against a concurrent Connect of the reverse pair; the
-      // lock-rank validator checks the ascending-id order at runtime).
-      MutexLock lk_first(&sync->node_locks[std::min(node, nb)]);
-      MutexLock lk_second(&sync->node_locks[std::max(node, nb)]);
-      adj[node].push_back(nb);
-      adj[nb].push_back(node);
-      if (static_cast<int>(adj[nb].size()) > max_links) Prune(nb, layer);
-    } else {
-      adj[node].push_back(nb);
-      adj[nb].push_back(node);
-      if (static_cast<int>(adj[nb].size()) > max_links) Prune(nb, layer);
-    }
+    adj[node].push_back(nb);
+    adj[nb].push_back(node);
+    if (static_cast<int>(adj[nb].size()) > max_links) Prune(nb, layer);
   }
 }
 
@@ -294,7 +201,7 @@ void HnswIndex::MultiSearchImpl(const float* queries, int64_t nq, int k,
     const float* qv = queries + q * d_;
     int64_t entry = entry_point_;
     for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
-      entry = GreedyStep(qv, entry, l, ws);
+      entry = GreedyStep(qv, entry, l);
     }
     const auto& found = SearchLayer(qv, entry, ef, 0, ws);
     SearchResult* o = out + q * k;

@@ -20,10 +20,6 @@
 #include "src/tensor/quant.h"
 #include "src/util/random.h"
 
-namespace unimatch {
-class ThreadPool;
-}  // namespace unimatch
-
 namespace unimatch::ann {
 
 struct HnswConfig {
@@ -34,12 +30,6 @@ struct HnswConfig {
   /// Beam width during search (>= k for good recall).
   int ef_search = 64;
   uint64_t seed = 17;
-  /// Optional pool for parallel graph construction. With nullptr (or a
-  /// 1-thread pool, or a small catalog) Build stays serial and fully
-  /// deterministic for a given seed. A multi-thread pool parallelizes the
-  /// node insertions with per-node locks: the resulting graph depends on
-  /// insertion interleaving (recall properties hold, exact edges vary).
-  ThreadPool* pool = nullptr;
   /// Element type of the stored vectors (src/tensor/quant.h). kF16/kI8
   /// shrink the table 2x/~4x; graph construction and every search score
   /// against the quantized rows (quantized-distance HNSW), so the graph is
@@ -60,6 +50,13 @@ class HnswIndex : public Index {
   const HnswConfig& config() const { return config_; }
   /// Number of graph layers (for tests/inspection).
   int num_layers() const { return static_cast<int>(layers_.size()); }
+  /// The graph itself (for tests/inspection): `node`'s neighbour list on
+  /// `layer`, its top level, and the entry point searches start from.
+  const std::vector<int64_t>& neighbors(int layer, int64_t node) const {
+    return layers_[layer][node];
+  }
+  int level(int64_t node) const { return node_level_[node]; }
+  int64_t entry_point() const { return entry_point_; }
   /// The (possibly quantized) stored table — bytes accounting and tests.
   const QuantizedMatrix& table() const { return quant_; }
 
@@ -72,32 +69,23 @@ class HnswIndex : public Index {
   // from a layer have an empty list.
   using Adjacency = std::vector<std::vector<int64_t>>;
 
-  // Per-node + entry-point locks, live only while a parallel Build runs.
-  // nullptr (serial build, and every post-build Search) means lock-free
-  // access to the adjacency lists.
-  struct BuildSync;
-
   float Score(const float* query, int64_t node) const;
-  // Greedy single-entry descent on one layer. `ws` provides the locked
-  // adjacency snapshot buffer for concurrent builds.
-  int64_t GreedyStep(const float* query, int64_t entry, int layer,
-                     SearchWorkspace& ws, BuildSync* sync = nullptr) const;
+  // Greedy single-entry descent on one layer.
+  int64_t GreedyStep(const float* query, int64_t entry, int layer) const;
   // Beam search on one layer; returns up to `ef` best (score, node) pairs,
   // best first, in ws.layer_results() (valid until the next SearchLayer on
   // the same workspace). All scratch — the epoch-stamped visited set and
   // both beam heaps — lives in `ws`; no per-call allocation.
   const std::vector<std::pair<float, int64_t>>& SearchLayer(
       const float* query, int64_t entry, int ef, int layer,
-      SearchWorkspace& ws, BuildSync* sync = nullptr) const;
+      SearchWorkspace& ws) const;
   void Connect(int64_t node, int layer,
-               const std::vector<std::pair<float, int64_t>>& candidates,
-               BuildSync* sync = nullptr);
+               const std::vector<std::pair<float, int64_t>>& candidates);
   void Prune(int64_t node, int layer);
   // Full insertion of node i: greedy descent from the current entry point,
-  // beam search + Connect per layer, entry-point raise. Serial builds track
-  // the entry state in entry_point_ / *entry_level; parallel builds keep it
-  // in BuildSync behind its annotated entry mutex and ignore the parameter.
-  void InsertNode(int64_t i, int* entry_level, BuildSync* sync);
+  // beam search + Connect per layer, entry-point raise (entry_point_ and
+  // *entry_level).
+  void InsertNode(int64_t i, int* entry_level);
 
   HnswConfig config_;
   int64_t n_ = 0, d_ = 0;

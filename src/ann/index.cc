@@ -92,6 +92,9 @@ void Index::MultiSearch(const float* queries, int64_t nq, int k,
 }
 
 std::vector<SearchResult> Index::Search(const float* query, int k) const {
+  // Past size() rows a search returns only padding, which the trim below
+  // drops, so k is capped there instead of sizing the buffer.
+  k = static_cast<int>(std::min<int64_t>(k, size()));
   std::vector<SearchResult> out(static_cast<size_t>(std::max(k, 0)));
   MultiSearch(query, 1, k, ThreadLocalSearchWorkspace(), out.data());
   // Trim padding: ids are row indices, so id < 0 only marks absent rows.

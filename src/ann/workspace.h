@@ -227,8 +227,6 @@ class SearchWorkspace {
   std::vector<std::pair<float, int64_t>>& layer_results() {
     return layer_results_;
   }
-  /// Locked adjacency-list copy for concurrent HNSW builds.
-  std::vector<int64_t>& neighbor_snapshot() { return neighbor_snapshot_; }
 
   /// Coarse-probe result rows (TopK::TakeInto target).
   SearchResult* ProbeScratch(int n) {
@@ -264,7 +262,6 @@ class SearchWorkspace {
   std::vector<std::pair<float, int64_t>> candidates_;
   std::vector<std::pair<float, int64_t>> best_;
   std::vector<std::pair<float, int64_t>> layer_results_;
-  std::vector<int64_t> neighbor_snapshot_;
   std::vector<SearchResult> probe_scratch_;
   std::vector<SearchResult> result_scratch_;
   std::vector<int64_t> gather_slots_;

@@ -55,9 +55,13 @@ Result<std::vector<AudienceEntry>> BuildAudience(
   UM_COUNTER_INC("serving.audience.requests");
   UM_COUNTER_ADD("serving.audience.item_lookups",
                  static_cast<int64_t>(request.items.size()));
-  // Over-fetch when exclusive so dedup can still fill each audience.
+  // Over-fetch when exclusive so dedup can still fill each audience. The
+  // doubling runs in 64 bits; no item has more candidates than users.
   const int fetch =
-      request.exclusive ? request.audience_size * 2 : request.audience_size;
+      request.exclusive
+          ? static_cast<int>(std::min<int64_t>(
+                int64_t{2} * request.audience_size, snapshot.num_users()))
+          : request.audience_size;
   const Answers fetched = AnswerInChunks(
       snapshot, &EngineSnapshot::MultiTargetUsers, request.items, fetch);
   std::vector<AudienceEntry> all;

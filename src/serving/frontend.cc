@@ -1,8 +1,6 @@
 #include "src/serving/frontend.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "src/obs/obs.h"
@@ -22,20 +20,12 @@ double MillisSince(Clock::time_point start, Clock::time_point end) {
 // One (kind-family, top_k) slice of a micro-batch, executed as a single
 // batched MultiSearch. IR requests query the item index; UT and audience
 // requests both query the user index, so they share a group when their
-// top_k matches. Held by shared_ptr: help-first shard helpers may wake
-// after the group has completed and must still find the claim counters
-// alive.
+// top_k matches.
 struct ServingFrontend::GroupExec {
-  std::shared_ptr<std::vector<Pending>> batch;
-  std::shared_ptr<const EngineSnapshot> snapshot;
   bool ir = false;  // true: item index (IR); false: user index (UT/audience)
   int top_k = 0;
   std::vector<size_t> slots;  // batch positions, in arrival order
   std::vector<int64_t> ids;   // query ids, parallel to slots
-  int64_t shard_size = 0;
-  int64_t num_shards = 0;
-  std::atomic<int64_t> next_shard{0};   // claim counter
-  std::atomic<int64_t> shards_done{0};  // completion counter
 };
 
 const char* RequestKindToString(RequestKind kind) {
@@ -62,7 +52,6 @@ ServingFrontend::ServingFrontend(FrontendConfig config,
   UM_CHECK_GE(config_.batch_window_us, 0);
   UM_CHECK_GT(config_.max_inflight_batches, 0);
   auto* registry = obs::MetricRegistry::Global();
-  UM_CHECK_GT(config_.min_group_shard, 0);
   batch_occupancy_ = registry->GetHistogram(
       "serving.frontend.batch.occupancy", "requests",
       "requests coalesced per micro-batch",
@@ -229,29 +218,28 @@ void ServingFrontend::ExecuteBatch(
     // same k. A linear scan suffices — batches hold at most max_batch
     // requests and real traffic concentrates on a handful of (kind, k)
     // shapes.
-    std::vector<std::shared_ptr<GroupExec>> groups;
+    std::vector<GroupExec> groups;
     for (size_t i = 0; i < batch->size(); ++i) {
       const Request& r = (*batch)[i].request;
       const bool ir = r.kind == RequestKind::kRecommendItems;
       GroupExec* group = nullptr;
-      for (const auto& candidate : groups) {
-        if (candidate->ir == ir && candidate->top_k == r.top_k) {
-          group = candidate.get();
+      for (GroupExec& candidate : groups) {
+        if (candidate.ir == ir && candidate.top_k == r.top_k) {
+          group = &candidate;
           break;
         }
       }
       if (group == nullptr) {
-        groups.push_back(std::make_shared<GroupExec>());
-        group = groups.back().get();
-        group->batch = batch;
-        group->snapshot = snapshot;
+        group = &groups.emplace_back();
         group->ir = ir;
         group->top_k = r.top_k;
       }
       group->slots.push_back(i);
       group->ids.push_back(r.id);
     }
-    for (auto& group : groups) ExecuteGroup(std::move(group));
+    for (const GroupExec& group : groups) {
+      ExecuteGroup(*snapshot, group, *batch);
+    }
   }
   if (obs::MetricsEnabled()) {
     execute_ms_->Observe(MillisSince(start, Clock::now()));
@@ -264,65 +252,22 @@ void ServingFrontend::ExecuteBatch(
   state_cv_.NotifyAll();
 }
 
-void ServingFrontend::ExecuteGroup(std::shared_ptr<GroupExec> group) {
-  const int64_t nq = static_cast<int64_t>(group->slots.size());
+void ServingFrontend::ExecuteGroup(const EngineSnapshot& snapshot,
+                                   const GroupExec& group,
+                                   std::vector<Pending>& batch) {
+  const int64_t nq = static_cast<int64_t>(group.slots.size());
   UM_COUNTER_INC("serving.frontend.batch.exec_groups");
   if (obs::MetricsEnabled()) {
     exec_group_size_->Observe(static_cast<double>(nq));
   }
-  // Shard sizing: split only when every shard gets at least
-  // min_group_shard queries, and never into more shards than pool
-  // threads.
-  const int threads = exec_pool_.num_threads();
-  int64_t shard_size = nq;
-  if (threads > 1) {
-    shard_size = std::max<int64_t>(config_.min_group_shard,
-                                   (nq + threads - 1) / threads);
-  }
-  group->shard_size = shard_size;
-  group->num_shards = (nq + shard_size - 1) / shard_size;
-  UM_COUNTER_ADD("serving.frontend.batch.exec_group_shards",
-                 group->num_shards);
-  // Help-first execution: this thread (already a pool worker) claims
-  // shards in a loop, and scheduled helpers race it for the rest. A helper
-  // stuck behind other queued batches simply never claims a shard, so
-  // completion never depends on free pool capacity — no deadlock when
-  // every worker is itself a batch executor.
-  const int64_t helpers =
-      std::min<int64_t>(group->num_shards - 1, threads - 1);
-  auto run_shards = [this, group] {
-    for (;;) {
-      const int64_t shard = group->next_shard.fetch_add(1);
-      if (shard >= group->num_shards) return;
-      RunGroupShard(*group, shard);
-      group->shards_done.fetch_add(1, std::memory_order_release);
-    }
-  };
-  for (int64_t h = 0; h < helpers; ++h) exec_pool_.Schedule(run_shards);
-  run_shards();
-  // Late-claimed shards run on helpers; their promise fulfillment happens
-  // before shards_done reaches num_shards, so returning here means the
-  // whole group has answered.
-  while (group->shards_done.load(std::memory_order_acquire) !=
-         group->num_shards) {
-    std::this_thread::yield();
-  }
-}
-
-void ServingFrontend::RunGroupShard(GroupExec& group, int64_t shard) {
-  const int64_t nq = static_cast<int64_t>(group.slots.size());
-  const int64_t q0 = shard * group.shard_size;
-  const int64_t q1 = std::min(q0 + group.shard_size, nq);
   std::vector<Result<std::vector<core::Scored>>> results;
   if (group.ir) {
-    group.snapshot->MultiRecommendItems(group.ids.data() + q0, q1 - q0,
-                                        group.top_k, &results);
+    snapshot.MultiRecommendItems(group.ids.data(), nq, group.top_k, &results);
   } else {
-    group.snapshot->MultiTargetUsers(group.ids.data() + q0, q1 - q0,
-                                     group.top_k, &results);
+    snapshot.MultiTargetUsers(group.ids.data(), nq, group.top_k, &results);
   }
-  for (int64_t j = q0; j < q1; ++j) {
-    Pending& pending = (*group.batch)[group.slots[j]];
+  for (int64_t j = 0; j < nq; ++j) {
+    Pending& pending = batch[group.slots[j]];
     switch (pending.request.kind) {
       case RequestKind::kRecommendItems:
         UM_COUNTER_INC("serving.frontend.requests.ir");
@@ -335,8 +280,8 @@ void ServingFrontend::RunGroupShard(GroupExec& group, int64_t shard) {
         break;
     }
     Response response;
-    response.snapshot_version = group.snapshot->version();
-    Result<std::vector<core::Scored>>& result = results[j - q0];
+    response.snapshot_version = snapshot.version();
+    Result<std::vector<core::Scored>>& result = results[j];
     if (result.ok()) {
       response.results = std::move(result).value();
     } else {

@@ -17,13 +17,11 @@
 //   batch_window_us — the classic throughput/latency dial.
 // * Execution: batches run on an internal ThreadPool, with at most
 //   max_inflight_batches in flight. Within a batch, requests are grouped
-//   by (kind-family, top_k) and each group is answered by one batched
-//   MultiSearch (src/ann/index.h) instead of per-request scans; groups
-//   larger than min_group_shard split into contiguous query shards that
-//   help-first workers race through. When executors fall behind, the
-//   batcher stops draining the queue, the queue fills, and admission
-//   starts shedding: backpressure propagates to the edge instead of
-//   accumulating latency.
+//   by (kind-family, top_k) and the batch worker answers each group with
+//   one batched MultiSearch (src/ann/index.h) instead of per-request
+//   scans. When executors fall behind, the batcher stops draining the
+//   queue, the queue fills, and admission starts shedding: backpressure
+//   propagates to the edge instead of accumulating latency.
 // * Snapshots: each batch pins the current EngineSnapshot once
 //   (SnapshotPublisher::Current). A concurrent Publish affects only later
 //   batches; in-flight readers keep the old snapshot alive via its
@@ -88,13 +86,9 @@ struct FrontendConfig {
   /// before its batch flushes, full or not.
   int64_t batch_window_us = 200;
   /// Bounded in-flight depth: the batcher stalls (and the queue absorbs /
-  /// sheds load) when this many batches are executing.
+  /// sheds load) when this many batches are executing. Raising it runs
+  /// more batches at once, up to the executor pool's size.
   int max_inflight_batches = 4;
-  /// Minimum queries per intra-batch shard: a (kind, top_k) execution
-  /// group splits across the pool only when it can hand every shard at
-  /// least this many queries; smaller groups run inline on the batch
-  /// worker.
-  int min_group_shard = 32;
 };
 
 /// Concurrent request frontend over a SnapshotPublisher. Thread-safe: all
@@ -137,22 +131,18 @@ class ServingFrontend {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  /// One (kind-family, top_k) slice of a batch plus its sharding state;
-  /// defined in frontend.cc.
+  /// One (kind-family, top_k) slice of a batch; defined in frontend.cc.
   struct GroupExec;
 
   void BatcherLoop() UM_EXCLUDES(mu_);
   void ExecuteBatch(std::shared_ptr<std::vector<Pending>> batch,
                     std::shared_ptr<const EngineSnapshot> snapshot)
       UM_EXCLUDES(mu_);
-  /// Runs one execution group: shards it over the pool (help-first — the
-  /// calling batch worker claims shards too, so completion never depends
-  /// on free pool capacity) and returns once every shard has answered.
-  void ExecuteGroup(std::shared_ptr<GroupExec> group);
-  /// Answers queries [shard * shard_size, ...) of `group` with one
-  /// MultiRecommendItems / MultiTargetUsers call and fulfills their
-  /// promises.
-  void RunGroupShard(GroupExec& group, int64_t shard);
+  /// Answers every query of `group` with one MultiRecommendItems /
+  /// MultiTargetUsers call on the calling batch worker, then fulfills the
+  /// group's promises in arrival order.
+  void ExecuteGroup(const EngineSnapshot& snapshot, const GroupExec& group,
+                    std::vector<Pending>& batch);
   /// Error accounting + latency stamp + promise fulfillment for one
   /// request.
   void FinishRequest(Pending* pending, Response response);

@@ -1,5 +1,6 @@
 #include "src/serving/snapshot.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,9 @@ namespace {
 // compacts the valid query rows into one [nv, d] workspace buffer, runs a
 // single MultiSearch, and fans the query-major results back to per-slot
 // Results in input order. An invalid id's slot carries `validate`'s Status.
+// Past the index's row count a search returns only padding, which the
+// fan-out trims, so k is capped there: every answer is the same as at n,
+// and a huge n never sizes a buffer.
 template <typename Validate>
 void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
                 const int64_t* ids, int64_t nq, int n, Validate validate,
@@ -27,6 +31,7 @@ void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
   std::vector<int64_t>& slots = ws.gather_slots();
   slots.assign(static_cast<size_t>(nq), -1);
   float* qbuf = ws.Queries(nq * d);
+  const int k = static_cast<int>(std::min<int64_t>(n, index.size()));
   int64_t nv = 0;
   for (int64_t i = 0; i < nq; ++i) {
     if (!validate(ids[i]).ok()) continue;
@@ -39,19 +44,19 @@ void MultiQuery(const QuantizedMatrix& table, const ann::Index& index,
   if (nv > 0) {
     // The backends use disjoint workspace scratch (scores/ADC/heaps), so
     // handing them the same `ws` that holds our query buffer is safe.
-    results = ws.ResultScratch(nv * n);
-    index.MultiSearch(qbuf, nv, n, ws, results);
+    results = ws.ResultScratch(nv * k);
+    index.MultiSearch(qbuf, nv, k, ws, results);
   }
   for (int64_t i = 0; i < nq; ++i) {
     if (slots[i] < 0) {
       out->emplace_back(validate(ids[i]));
       continue;
     }
-    const ann::SearchResult* r = results + slots[i] * n;
+    const ann::SearchResult* r = results + slots[i] * k;
     std::vector<core::Scored> scored;
-    scored.reserve(static_cast<size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      if (r[j].id < 0) break;  // padding: fewer than n rows indexed
+    scored.reserve(static_cast<size_t>(k));
+    for (int j = 0; j < k; ++j) {
+      if (r[j].id < 0) break;  // padding: fewer than k rows found
       scored.push_back({r[j].id, r[j].score});
     }
     out->emplace_back(std::move(scored));

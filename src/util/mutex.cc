@@ -1,7 +1,6 @@
 #include "src/util/mutex.h"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -47,31 +46,21 @@ thread_local std::vector<const Mutex*> tls_held_locks;
                                      const Mutex* held) {
   UM_LOG_FATAL.stream()
       << "lock-rank violation: acquiring \"" << acquiring->name()
-      << "\" (rank " << acquiring->rank()
-      << (acquiring->order() >= 0
-              ? ", order " + std::to_string(acquiring->order())
-              : std::string())
-      << ") while holding \"" << held->name() << "\" (rank " << held->rank()
-      << (held->order() >= 0 ? ", order " + std::to_string(held->order())
-                             : std::string())
+      << "\" (rank " << acquiring->rank() << ") while holding \""
+      << held->name() << "\" (rank " << held->rank()
       << "); locks must be acquired in ascending rank order — see the "
          "lock-rank table in docs/STATIC_ANALYSIS.md";
   std::abort();  // unreachable; LogMessageFatal's destructor aborts
 }
 
 // Rank discipline: a blocking acquisition is legal iff its rank is strictly
-// above the most recently acquired lock's, or equal with a strictly
-// ascending order token (both declared). Violations abort with both names,
+// above the most recently acquired lock's. Violations abort with both names,
 // turning every would-be deadlock cycle into a deterministic report at its
 // first out-of-order edge — no unlucky interleaving required.
 void CheckRankOnAcquire(const Mutex* mu) {
   if (tls_held_locks.empty()) return;
   const Mutex* held = tls_held_locks.back();
   if (mu->rank() > held->rank()) return;
-  if (mu->rank() == held->rank() && mu->order() >= 0 && held->order() >= 0 &&
-      mu->order() > held->order()) {
-    return;
-  }
   DieOnRankViolation(mu, held);
 }
 

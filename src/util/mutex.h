@@ -19,16 +19,14 @@
 //     that configuration compiling).
 //
 // Lock-rank table (ascending = allowed acquisition order; a thread holding
-// a lock may only acquire strictly-higher ranks, and equal ranks only with
-// an ascending per-mutex order token — the HNSW per-node locks):
+// a lock may only acquire strictly-higher ranks, so two locks of equal rank
+// never nest):
 //
 //   rank | constant                | mutex
 //   -----+-------------------------+------------------------------------
 //    10  | lockrank::kThreadPool   | util/threadpool queue mutex
 //    20  | lockrank::kBufferPool   | tensor/storage free-list mutex
 //    30  | lockrank::kPrefetcher   | data/prefetcher staging mutex
-//    40  | lockrank::kHnswEntry    | ann/hnsw entry-point mutex
-//    41  | lockrank::kHnswNode     | ann/hnsw per-node locks (order = node)
 //    50  | lockrank::kFrontend     | serving/frontend admission queue
 //    60  | lockrank::kObsTrace     | obs/trace event ring
 //    61  | lockrank::kObsMetrics   | obs/metrics registry
@@ -43,7 +41,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "src/util/thread_annotations.h"
@@ -57,8 +54,6 @@ namespace lockrank {
 inline constexpr int kThreadPool = 10;
 inline constexpr int kBufferPool = 20;
 inline constexpr int kPrefetcher = 30;
-inline constexpr int kHnswEntry = 40;
-inline constexpr int kHnswNode = 41;
 inline constexpr int kFrontend = 50;
 inline constexpr int kObsTrace = 60;
 inline constexpr int kObsMetrics = 61;
@@ -74,21 +69,16 @@ inline constexpr bool kLockRanksEnabled = true;
 #endif
 
 /// Annotated mutex with a declared rank and name.
-///
-/// `order` disambiguates *same-rank* families (the HNSW per-node locks):
-/// two mutexes of equal rank may nest only in ascending `order`. The
-/// default -1 means "this mutex never nests with a same-rank peer".
 class UM_CAPABILITY("mutex") Mutex {
  public:
-  explicit Mutex(int rank, const char* name, int64_t order = -1)
+  explicit Mutex(int rank, const char* name)
 #if defined(UNIMATCH_LOCK_RANKS_DISABLED)
   {
     (void)rank;
     (void)name;
-    (void)order;
   }
 #else
-      : rank_(rank), name_(name), order_(order) {
+      : rank_(rank), name_(name) {
   }
 #endif
 
@@ -104,7 +94,6 @@ class UM_CAPABILITY("mutex") Mutex {
 #if !defined(UNIMATCH_LOCK_RANKS_DISABLED)
   int rank() const { return rank_; }
   const char* name() const { return name_; }
-  int64_t order() const { return order_; }
   /// True when the calling thread holds this mutex (rank-registry lookup;
   /// debug assertions only).
   bool HeldByThisThread() const;
@@ -117,7 +106,6 @@ class UM_CAPABILITY("mutex") Mutex {
 #if !defined(UNIMATCH_LOCK_RANKS_DISABLED)
   const int rank_;
   const char* const name_;
-  const int64_t order_;
 #endif
 };
 

@@ -68,8 +68,8 @@
 #define UM_ASSERT_CAPABILITY(x) UM_THREAD_ANNOTATION_(assert_capability(x))
 
 /// Escape hatch: turns the analysis off for one function. Every use needs a
-/// comment explaining why the locking is correct but inexpressible (e.g.
-/// HNSW's per-element node locks).
+/// comment explaining why (e.g. a death test that breaks the protocol on
+/// purpose).
 #define UM_NO_THREAD_SAFETY_ANALYSIS \
   UM_THREAD_ANNOTATION_(no_thread_safety_analysis)
 

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "src/util/threadpool.h"
-
 namespace unimatch::ann {
 namespace {
 
@@ -129,57 +127,6 @@ TEST(HnswIndexTest, SerialBuildIsDeterministic) {
       EXPECT_EQ(ids, first_ids);
     }
   }
-}
-
-TEST(HnswIndexTest, ParallelBuildReachesHighRecall) {
-  // The container may expose a single core, so use an explicit multi-thread
-  // pool: that is what makes the locked parallel insert path (and the tsan
-  // run over it) meaningful.
-  Tensor vecs = RandomUnitVectors(2000, 16, 23);
-  BruteForceIndex exact;
-  ASSERT_TRUE(exact.Build(vecs).ok());
-  ThreadPool pool(4);
-  HnswConfig cfg;
-  cfg.pool = &pool;
-  HnswIndex index(cfg);
-  ASSERT_TRUE(index.Build(vecs).ok());
-  EXPECT_EQ(index.size(), 2000);
-  Tensor queries = RandomUnitVectors(50, 16, 24);
-  EXPECT_GT(MeasureRecallAtK(index, exact, queries, 10), 0.9);
-}
-
-TEST(HnswIndexTest, ParallelBuildSelfRecall) {
-  Tensor vecs = RandomUnitVectors(500, 12, 25);
-  ThreadPool pool(4);
-  HnswConfig cfg;
-  cfg.pool = &pool;
-  HnswIndex index(cfg);
-  ASSERT_TRUE(index.Build(vecs).ok());
-  int hits = 0;
-  for (int64_t i = 0; i < 500; ++i) {
-    auto r = index.Search(vecs.data() + i * 12, 1);
-    ASSERT_EQ(r.size(), 1u);
-    hits += r[0].id == i;
-  }
-  EXPECT_GE(hits, 492);
-}
-
-TEST(HnswIndexTest, SmallCatalogIgnoresPoolAndStaysSerial) {
-  // Below the parallel threshold the build must stay deterministic even
-  // with a pool configured.
-  Tensor vecs = RandomUnitVectors(100, 8, 26);
-  ThreadPool pool(4);
-  HnswConfig cfg;
-  cfg.pool = &pool;
-  HnswIndex with_pool(cfg);
-  HnswIndex without_pool;
-  ASSERT_TRUE(with_pool.Build(vecs).ok());
-  ASSERT_TRUE(without_pool.Build(vecs).ok());
-  Tensor q = RandomUnitVectors(1, 8, 27);
-  auto a = with_pool.Search(q.data(), 10);
-  auto b = without_pool.Search(q.data(), 10);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
 }
 
 TEST(HnswIndexTest, KLargerThanNReturnsAll) {

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <unordered_set>
 
 #include "src/data/synthetic.h"
+#include "src/serving/snapshot.h"
 
 namespace unimatch::core {
 namespace {
@@ -272,6 +275,40 @@ TEST(EngineQuantIndexTest, CompressedIndexKindsServeQueries) {
     auto ut = e.TargetUsers(1, 5);
     ASSERT_TRUE(ut.ok()) << kind << ": " << ut.status().ToString();
     EXPECT_EQ(ut->size(), 5u) << kind;
+  }
+}
+
+void ExpectSameAnswer(const Result<std::vector<Scored>>& got,
+                      const Result<std::vector<Scored>>& want) {
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t r = 0; r < got->size(); ++r) {
+    EXPECT_EQ((*got)[r].id, (*want)[r].id) << "rank " << r;
+    EXPECT_EQ(std::bit_cast<uint32_t>((*got)[r].score),
+              std::bit_cast<uint32_t>((*want)[r].score))
+        << "rank " << r;
+  }
+}
+
+TEST(EngineHugeNTest, IntMaxAnswersLikeRowCountOnEveryIndexKind) {
+  // n past an index's row count only adds padding, which is trimmed, so
+  // INT_MAX must answer exactly what the row count answers (ids and score
+  // bits) on every index kind, without sizing buffers by n.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  const data::InteractionLog log = EngineLog();
+  for (const char* kind : {"brute_force", "ivf", "ivfpq", "hnsw"}) {
+    SCOPED_TRACE(kind);
+    EngineConfig cfg = SmallEngineConfig();
+    cfg.index = kind;
+    UniMatchEngine e(cfg);
+    ASSERT_TRUE(e.Fit(log).ok());
+    const int users = static_cast<int>(e.snapshot()->num_users());
+    const int items = static_cast<int>(e.snapshot()->num_items());
+    ExpectSameAnswer(e.RecommendItems(1, kHuge), e.RecommendItems(1, items));
+    ExpectSameAnswer(e.TargetUsers(2, kHuge), e.TargetUsers(2, users));
+    ExpectSameAnswer(e.RecommendItemsForHistory({3, 7}, kHuge),
+                     e.RecommendItemsForHistory({3, 7}, items));
   }
 }
 

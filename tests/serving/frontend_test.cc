@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -467,10 +470,10 @@ TEST(FrontendTest, MixedKindBatchesAnswerEachRequest) {
 }
 
 TEST(FrontendTest, GroupedExecutionShedsWithOverloadedButKeepsAcceptedWork) {
-  // Shedding with the grouped/sharded executor: big catalog so grouped
-  // batches execute slowly, min_group_shard low enough that groups really
-  // shard, and a tiny queue that must overflow. The admission contract is
-  // unchanged: accepted work completes, everything else sheds explicitly.
+  // Shedding with the grouped executor: big catalog so grouped batches
+  // execute slowly, and a tiny queue that must overflow. The admission
+  // contract is unchanged: accepted work completes, everything else sheds
+  // explicitly.
   SnapshotPublisher publisher;
   publisher.Publish(MakeToySnapshot(20000, 20000, 1));
   FrontendConfig config;
@@ -479,7 +482,6 @@ TEST(FrontendTest, GroupedExecutionShedsWithOverloadedButKeepsAcceptedWork) {
   config.max_batch = 16;
   config.batch_window_us = 0;
   config.max_inflight_batches = 1;
-  config.min_group_shard = 4;
   ServingFrontend frontend(config, &publisher);
 
   const int kRequests = 1500;
@@ -512,10 +514,9 @@ TEST(FrontendTest, GroupedExecutionShedsWithOverloadedButKeepsAcceptedWork) {
 }
 
 TEST(FrontendTest, DestructorDrainsMidGroupedBatch) {
-  // Destruction races grouped, sharded execution: a burst of mixed kinds
-  // is in flight (forced to shard via min_group_shard) when the frontend
-  // dies. Every accepted promise must still be fulfilled — the destructor
-  // waits for batch workers AND their shard helpers.
+  // Destruction races grouped execution: a burst of mixed kinds is in
+  // flight when the frontend dies. Every accepted promise must still be
+  // fulfilled — the destructor waits for every batch worker.
   SnapshotPublisher publisher;
   publisher.Publish(MakeToySnapshot(4096, 4096, 1));
   std::vector<std::future<Response>> futures;
@@ -526,7 +527,6 @@ TEST(FrontendTest, DestructorDrainsMidGroupedBatch) {
     config.max_batch = 256;
     config.batch_window_us = 0;
     config.max_inflight_batches = 2;
-    config.min_group_shard = 8;
     ServingFrontend frontend(config, &publisher);
     for (int i = 0; i < 1024; ++i) {
       const RequestKind kind = (i % 3 == 0) ? RequestKind::kTargetUsers
@@ -542,6 +542,37 @@ TEST(FrontendTest, DestructorDrainsMidGroupedBatch) {
     if (response.status.ok()) ++ok;
   }
   EXPECT_GT(ok, 0);
+}
+
+TEST(FrontendTest, HugeTopKAnswersLikeCatalogSizedTopK) {
+  // top_k past the index's row count only adds padding, which is trimmed:
+  // INT_MAX must answer exactly what the row count answers (ids and score
+  // bits) instead of sizing buffers by top_k.
+  SnapshotPublisher publisher;
+  publisher.Publish(MakeToySnapshot(10, 12, 1));
+  ServingFrontend frontend(SmallConfig(), &publisher);
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  const struct {
+    RequestKind kind;
+    int rows;  // rows of the index this kind searches
+  } kinds[] = {{RequestKind::kRecommendItems, 12},
+               {RequestKind::kTargetUsers, 10},
+               {RequestKind::kBuildAudience, 10}};
+  for (const auto& k : kinds) {
+    SCOPED_TRACE(RequestKindToString(k.kind));
+    Response huge = frontend.Submit({k.kind, 0, kHuge}).get();
+    Response rows = frontend.Submit({k.kind, 0, k.rows}).get();
+    ASSERT_TRUE(huge.status.ok()) << huge.status.ToString();
+    ASSERT_TRUE(rows.status.ok()) << rows.status.ToString();
+    ASSERT_EQ(huge.results.size(), static_cast<size_t>(k.rows));
+    ASSERT_EQ(rows.results.size(), huge.results.size());
+    for (size_t r = 0; r < huge.results.size(); ++r) {
+      EXPECT_EQ(huge.results[r].id, rows.results[r].id) << "rank " << r;
+      EXPECT_EQ(std::bit_cast<uint32_t>(huge.results[r].score),
+                std::bit_cast<uint32_t>(rows.results[r].score))
+          << "rank " << r;
+    }
+  }
 }
 
 TEST(FrontendTest, DestructorDrainsAcceptedWork) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -249,7 +251,9 @@ void ExpectSameEntries(const std::vector<AudienceEntry>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].item, want[i].item) << "entry " << i;
     EXPECT_EQ(got[i].user, want[i].user) << "entry " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << "entry " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i].score),
+              std::bit_cast<uint32_t>(want[i].score))
+        << "entry " << i;
   }
 }
 
@@ -294,6 +298,60 @@ TEST_F(CampaignFixture, NewsletterMatchesPerUserSnapshotQueries) {
     }
   }
   EXPECT_EQ(k, news->size());
+}
+
+void ExpectSameAnswers(
+    const std::vector<Result<std::vector<core::Scored>>>& got,
+    const std::vector<Result<std::vector<core::Scored>>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].status().code(), want[q].status().code()) << "slot " << q;
+    if (!got[q].ok()) continue;
+    ASSERT_EQ(got[q]->size(), want[q]->size()) << "slot " << q;
+    for (size_t r = 0; r < got[q]->size(); ++r) {
+      EXPECT_EQ((*got[q])[r].id, (*want[q])[r].id) << "slot " << q;
+      EXPECT_EQ(std::bit_cast<uint32_t>((*got[q])[r].score),
+                std::bit_cast<uint32_t>((*want[q])[r].score))
+          << "slot " << q;
+    }
+  }
+}
+
+TEST_F(CampaignFixture, HugeNAnswersLikeRowCount) {
+  // n past the index's row count only adds padding, which is trimmed, so
+  // INT_MAX must answer exactly what the row count answers (ids and score
+  // bits) without sizing buffers by n.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  const EngineSnapshot& snap = snapshot();
+  const int users = static_cast<int>(snap.num_users());
+  const int items = static_cast<int>(snap.num_items());
+  std::vector<Result<std::vector<core::Scored>>> huge, rows;
+  const std::vector<data::UserId> user_ids = {0, 1, 7, 499};
+  snap.MultiRecommendItems(user_ids.data(), 4, kHuge, &huge);
+  snap.MultiRecommendItems(user_ids.data(), 4, items, &rows);
+  ExpectSameAnswers(huge, rows);
+  const std::vector<data::ItemId> item_ids = {0, 3, 59};
+  snap.MultiTargetUsers(item_ids.data(), 3, kHuge, &huge);
+  snap.MultiTargetUsers(item_ids.data(), 3, users, &rows);
+  ExpectSameAnswers(huge, rows);
+  ASSERT_TRUE(rows[0].ok());
+  EXPECT_EQ(rows[0]->size(), static_cast<size_t>(users));
+
+  // Audiences: doubling 2^30 + 1 for the exclusive over-fetch passes
+  // INT_MAX.
+  for (const bool exclusive : {false, true}) {
+    SCOPED_TRACE(exclusive ? "exclusive" : "shared");
+    AudienceRequest req;
+    req.items = {1, 2, 3};
+    req.exclusive = exclusive;
+    req.audience_size = (1 << 30) + 1;
+    auto huge_audience = BuildAudience(snap, req);
+    req.audience_size = users;
+    auto rows_audience = BuildAudience(snap, req);
+    ASSERT_TRUE(huge_audience.ok()) << huge_audience.status().ToString();
+    ASSERT_TRUE(rows_audience.ok()) << rows_audience.status().ToString();
+    ExpectSameEntries(*huge_audience, *rows_audience);
+  }
 }
 
 TEST_F(CampaignFixture, EmptyListsGiveEmptyResults) {

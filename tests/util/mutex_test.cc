@@ -65,16 +65,6 @@ TEST(MutexTest, AscendingRankAcquisitionIsAllowed) {
   SUCCEED();  // reaching here means no rank abort
 }
 
-TEST(MutexTest, SameRankAscendingOrderTokensAllowed) {
-  // The HNSW node-lock discipline: equal rank, strictly ascending order
-  // tokens (smaller node id first).
-  Mutex a(lockrank::kHnswNode, "test.node", /*order=*/3);
-  Mutex b(lockrank::kHnswNode, "test.node", /*order=*/7);
-  MutexLock l1(&a);
-  MutexLock l2(&b);
-  SUCCEED();
-}
-
 TEST(MutexTest, CondVarWaitAndNotifyHandOff) {
   Mutex mu(lockrank::kPrefetcher, "test.handoff");
   CondVar cv;
@@ -148,20 +138,9 @@ TEST(MutexRankDeathTest, EqualRankWithoutOrderTokensAborts) {
         Mutex a(lockrank::kObsMetrics, "test.peer_a");
         Mutex b(lockrank::kObsMetrics, "test.peer_b");
         MutexLock l1(&a);
-        MutexLock l2(&b);  // same rank, no order tokens — ambiguous, dies
+        MutexLock l2(&b);  // equal ranks never nest — must die
       },
       "lock-rank violation.*\"test\\.peer_b\".*\"test\\.peer_a\"");
-}
-
-TEST(MutexRankDeathTest, SameRankDescendingOrderTokensAbort) {
-  EXPECT_DEATH(
-      {
-        Mutex a(lockrank::kHnswNode, "test.node", /*order=*/7);
-        Mutex b(lockrank::kHnswNode, "test.node", /*order=*/3);
-        MutexLock l1(&a);
-        MutexLock l2(&b);  // node 3 after node 7 breaks the id order
-      },
-      "lock-rank violation.*order 3.*order 7");
 }
 
 // Deliberately violates the release protocol; the analysis would (rightly)

@@ -11,19 +11,16 @@
 #   5. clang-threadsafety preset: clang -Wthread-safety -Werror compile of
 #      the whole tree + ctest -L tier1 — the compile-time locking gate
 #      (skipped with a notice when clang++ is not installed)
-#   6. serving bench smoke: bench_serving in UNIMATCH_BENCH_SMOKE mode —
-#      hard-gates request correctness + the under-load snapshot swap,
-#      records (never gates) latency, since runners may be single-core
-#   7. quant bench smoke: bench_quant in UNIMATCH_BENCH_SMOKE mode —
+#   6. quant bench smoke: bench_quant in UNIMATCH_BENCH_SMOKE mode —
 #      hard-gates recall@10 >= 0.95 (int8 flat and IVF-PQ vs the exact
 #      f32 scan) and >= 3x int8 table compression; latency is recorded
 #      in BENCH_quant.json, never gated
-#   8. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
+#   7. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
 #      mode — hard-gates MultiSearch/Search bitwise parity across all six
 #      ANN backends, zero pool acquires per steady-state query, and a
 #      >= 2x batch-32 speedup for the flat and quantized-flat scans;
 #      graph/IVF speedups are recorded warn-only in BENCH_batch_exec.json
-#   9. perfbench correctness: perfbench/run.py --selftest, then one short
+#   8. perfbench correctness: perfbench/run.py --selftest, then one short
 #      large_catalog run that must end with "correct": true and
 #      "failed": 0 (exact answers against a brute-force key, equal NDCG
 #      across training passes)
@@ -96,15 +93,8 @@ if [[ "$RUN_THREADSAFETY" == 1 ]]; then
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then
-  stage "serving bench smoke (bench_serving)"
-  cmake --preset release
-  cmake --build --preset release -j "$JOBS" --target bench_serving
-  # Hard gate: any error response, or any failed request during the
-  # under-load snapshot swap, exits non-zero. Latency/QPS are recorded in
-  # BENCH_serving.json but never gated here (runners may be single-core).
-  (cd build/bench && UNIMATCH_BENCH_SMOKE=1 ./bench_serving)
-
   stage "quant bench smoke (bench_quant)"
+  cmake --preset release
   cmake --build --preset release -j "$JOBS" --target bench_quant
   # Hard gate: exits non-zero unless int8 flat AND IVF-PQ reach recall@10
   # >= 0.95 against the exact f32 scan and the int8 table is >= 3x smaller
