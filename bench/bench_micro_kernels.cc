@@ -140,6 +140,23 @@ void BM_HnswSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_HnswSearch)->Arg(10000)->Arg(50000);
 
+// One serial build of the default-config graph over unit 16-d rows: the
+// item index (3k rows) and the user index (9k rows) of a books refresh.
+void BM_HnswBuild(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(8);
+  Tensor raw = Tensor::Randn({n, 16}, 1.0f, &rng);
+  Tensor vecs(raw.shape());
+  L2NormalizeRows(raw, &vecs, nullptr);
+  for (auto _ : state) {
+    ann::HnswIndex index;
+    UM_CHECK(index.Build(vecs).ok());
+    benchmark::DoNotOptimize(index.entry_point());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HnswBuild)->Arg(3000)->Arg(9000)->Unit(benchmark::kMillisecond);
+
 void BM_IvfSearch(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(6);

@@ -10,12 +10,50 @@
 #include "src/util/logging.h"
 
 namespace unimatch::ann {
+namespace {
+
+// `links` is best first by `scores` with one link appended. When the first
+// links are strictly descending, the new score ties none of them and the
+// new id is not among them, sorting by score has exactly one result: this
+// moves the new link to its place, drops the last link and returns true.
+// Otherwise it changes nothing and returns false. Every comparison is
+// written so that a NaN fails it.
+bool InsertNewest(std::vector<int64_t>& links, std::vector<float>& scores) {
+  const int last = static_cast<int>(links.size()) - 1;
+  const int64_t id = links[last];
+  const float s = scores[last];
+  int pos = last;
+  for (int j = 0; j < last; ++j) {
+    if (links[j] == id) return false;
+    if (j + 1 < last && !(scores[j] > scores[j + 1])) return false;
+    if (pos == last && !(scores[j] > s)) {
+      if (!(s > scores[j])) return false;
+      pos = j;
+    }
+  }
+  std::rotate(links.begin() + pos, links.begin() + last, links.end());
+  std::rotate(scores.begin() + pos, scores.begin() + last, scores.end());
+  links.pop_back();
+  scores.pop_back();
+  return true;
+}
+
+}  // namespace
 
 float HnswIndex::Score(const float* query, int64_t node) const {
   return quant_.Score(node, query);
 }
 
 Status HnswIndex::Build(const Tensor& vectors) {
+  // MaxLinks(0) is 2m; the cap keeps it, and every list's reservation of
+  // 2m + 1 slots, far from int overflow.
+  if (config_.m < 1 || config_.m > 1024) {
+    return Status::InvalidArgument("HnswConfig::m must be in [1, 1024]");
+  }
+  if (config_.ef_construction < 1 || config_.ef_search < 1) {
+    return Status::InvalidArgument(
+        "HnswConfig::ef_construction and ef_search must be at least 1");
+  }
   if (vectors.rank() != 2) {
     return Status::InvalidArgument("index expects a [N, d] matrix");
   }
@@ -52,11 +90,28 @@ Status HnswIndex::Build(const Tensor& vectors) {
   }
 
   layers_.assign(max_level + 1, Adjacency(n));
+  link_scores_.assign(max_level + 1, std::vector<std::vector<float>>(n));
+  // A list never holds more than MaxLinks + 1 links (Connect prunes at
+  // once), so one reservation per list on each of the node's layers is the
+  // only allocation its links ever need. Every id list is reserved before
+  // any score list, so the scores, freed before Build returns, leave one
+  // contiguous hole in the heap rather than one between every two lists.
+  for (int64_t i = 0; i < n; ++i) {
+    for (int l = 0; l <= node_level_[i]; ++l) {
+      layers_[l][i].reserve(MaxLinks(l) + 1);
+    }
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    for (int l = 0; l <= node_level_[i]; ++l) {
+      link_scores_[l][i].reserve(MaxLinks(l) + 1);
+    }
+  }
   // Node 0 seeds the graph; everyone else inserts against it.
   entry_point_ = 0;
   int entry_level = node_level_[0];
 
   for (int64_t i = 1; i < n; ++i) InsertNode(i, &entry_level);
+  link_scores_.clear();
   if (config_.storage != ScalarType::kF32) {
     vectors_ = Tensor();  // drop the float table; quant_ serves from here on
   }
@@ -164,30 +219,57 @@ const std::vector<std::pair<float, int64_t>>& HnswIndex::SearchLayer(
 void HnswIndex::Connect(
     int64_t node, int layer,
     const std::vector<std::pair<float, int64_t>>& candidates) {
-  const int max_links = layer == 0 ? 2 * config_.m : config_.m;
+  const int max_links = MaxLinks(layer);
   auto& adj = layers_[layer];
+  auto& scores = link_scores_[layer];
   const int take = std::min<int>(max_links, candidates.size());
   for (int k = 0; k < take; ++k) {
-    const int64_t nb = candidates[k].second;
+    const auto [score, nb] = candidates[k];
     if (nb == node) continue;
+    // SearchLayer scored nb against node's float row: the score of this
+    // link, bit for bit.
     adj[node].push_back(nb);
+    scores[node].push_back(score);
     adj[nb].push_back(node);
+    scores[nb].push_back(Score(vectors_.data() + nb * dim(), node));
     if (static_cast<int>(adj[nb].size()) > max_links) Prune(nb, layer);
   }
 }
 
 void HnswIndex::Prune(int64_t node, int layer) {
-  const int max_links = layer == 0 ? 2 * config_.m : config_.m;
-  auto& links = layers_[layer][node];
-  if (static_cast<int>(links.size()) <= max_links) return;
-  const float* v = vectors_.data() + node * dim();
-  // Dedupe by id first, then keep the best-scoring neighbors.
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
-  std::sort(links.begin(), links.end(), [&](int64_t a, int64_t b) {
-    return Score(v, a) > Score(v, b);
-  });
-  if (static_cast<int>(links.size()) > max_links) links.resize(max_links);
+  const int max_links = MaxLinks(layer);
+  std::vector<int64_t>& links = layers_[layer][node];
+  std::vector<float>& scores = link_scores_[layer][node];
+  const int size = static_cast<int>(links.size());
+  if (size <= max_links) return;
+  // A pruned list is best first, and Connect prunes as soon as one link is
+  // appended, so after a list's first prune the insert usually applies.
+  if (size == max_links + 1 && InsertNewest(links, scores)) return;
+  // Otherwise (a first prune, a tie, a duplicate id): sort by id, drop
+  // duplicate ids, sort by stored score and keep the best. std::sort's
+  // result depends only on the input order and the comparison outcomes,
+  // which match sorting the ids with a comparator that scores each link,
+  // so tied links land where that sort puts them (the recorded graph
+  // digests depend on it).
+  auto& buf = prune_scratch_;
+  buf.clear();
+  for (int j = 0; j < size; ++j) buf.emplace_back(links[j], scores[j]);
+  std::sort(buf.begin(), buf.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  buf.erase(std::unique(buf.begin(), buf.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first == b.first;
+                        }),
+            buf.end());
+  std::sort(buf.begin(), buf.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  const size_t keep = std::min<size_t>(buf.size(), max_links);
+  links.resize(keep);
+  scores.resize(keep);
+  for (size_t j = 0; j < keep; ++j) {
+    links[j] = buf[j].first;
+    scores[j] = buf[j].second;
+  }
 }
 
 void HnswIndex::MultiSearchImpl(const float* queries, int64_t nq, int k,

@@ -36,14 +36,15 @@ uint64_t SplitMix(uint64_t x) {
 
 // [n, d] unit rows. Each coordinate is a 24-bit hash slice scaled into
 // [-1, 1), exact in float; the norm is a double sum and one std::sqrt.
-Tensor HashedUnitRows(int64_t n, int64_t d, uint64_t seed) {
+// Row i repeats row i % distinct, so distinct < n makes exact duplicates.
+Tensor HashedUnitRows(int64_t n, int64_t d, uint64_t seed, int64_t distinct) {
   Tensor t({n, d});
   for (int64_t i = 0; i < n; ++i) {
     float* row = t.data() + i * d;
     double norm = 0.0;
     for (int64_t j = 0; j < d; ++j) {
-      const uint64_t h =
-          SplitMix(seed ^ SplitMix(static_cast<uint64_t>(i * d + j)));
+      const uint64_t h = SplitMix(
+          seed ^ SplitMix(static_cast<uint64_t>((i % distinct) * d + j)));
       const int64_t slice = static_cast<int64_t>(h >> 40) - (1 << 23);
       row[j] = static_cast<float>(slice) / static_cast<float>(1 << 23);
       norm += static_cast<double>(row[j]) * row[j];
@@ -78,7 +79,7 @@ uint64_t GraphDigest(const HnswIndex& index) {
 
 struct DigestCase {
   const char* name;
-  int64_t n, d;
+  int64_t n, d, distinct;
   int m, ef_construction;
   uint64_t seed;
   ScalarType storage;
@@ -86,20 +87,32 @@ struct DigestCase {
 };
 
 // The default graph shape, and a narrow one (m = 4) whose lists overflow
-// and get pruned far more often and whose levels reach higher.
+// and get pruned far more often and whose levels reach higher. The repeat_
+// cases cycle 600 rows through 60 distinct ones, so a node's links tie on
+// score and Prune takes its full-sort path instead of the one-link insert;
+// their digests were recorded with a Prune that rescored and sorted every
+// overflowing list.
 constexpr DigestCase kCases[] = {
-    {"default_f32", 500, 16, 16, 100, 101, ScalarType::kF32,
+    {"default_f32", 500, 16, 500, 16, 100, 101, ScalarType::kF32,
      0xF19558AA3CC8B199ULL},
-    {"default_f16", 500, 16, 16, 100, 101, ScalarType::kF16,
+    {"default_f16", 500, 16, 500, 16, 100, 101, ScalarType::kF16,
      0x05AFCC934BEA19DDULL},
-    {"default_i8", 500, 16, 16, 100, 101, ScalarType::kI8,
+    {"default_i8", 500, 16, 500, 16, 100, 101, ScalarType::kI8,
      0x7A185E390596B3CBULL},
-    {"narrow_f32", 600, 8, 4, 24, 202, ScalarType::kF32,
+    {"narrow_f32", 600, 8, 600, 4, 24, 202, ScalarType::kF32,
      0xE3A0811C2399294CULL},
-    {"narrow_f16", 600, 8, 4, 24, 202, ScalarType::kF16,
+    {"narrow_f16", 600, 8, 600, 4, 24, 202, ScalarType::kF16,
      0x237B4D7AF47F6321ULL},
-    {"narrow_i8", 600, 8, 4, 24, 202, ScalarType::kI8,
+    {"narrow_i8", 600, 8, 600, 4, 24, 202, ScalarType::kI8,
      0xBFFBB6E0E90D43F5ULL},
+    {"repeat_default_f32", 600, 16, 60, 16, 100, 303, ScalarType::kF32,
+     0x438E63F75BCD3075ULL},
+    {"repeat_default_i8", 600, 16, 60, 16, 100, 303, ScalarType::kI8,
+     0x48E09DEEE631A075ULL},
+    {"repeat_narrow_f32", 600, 8, 60, 4, 24, 404, ScalarType::kF32,
+     0xA14EB9422C73E4BFULL},
+    {"repeat_narrow_i8", 600, 8, 60, 4, 24, 404, ScalarType::kI8,
+     0xE06E4BCDFFCEE4C6ULL},
 };
 
 class HnswGraphDigestTest : public ::testing::TestWithParam<Backend> {
@@ -122,7 +135,8 @@ TEST_P(HnswGraphDigestTest, SerialBuildMatchesRecordedGraph) {
     cfg.ef_construction = c.ef_construction;
     cfg.storage = c.storage;
     HnswIndex index(cfg);
-    ASSERT_TRUE(index.Build(HashedUnitRows(c.n, c.d, c.seed)).ok());
+    ASSERT_TRUE(
+        index.Build(HashedUnitRows(c.n, c.d, c.seed, c.distinct)).ok());
     const uint64_t got = GraphDigest(index);
     EXPECT_EQ(got, c.digest) << std::hex << "digest 0x" << got
                              << ", recorded 0x" << c.digest;

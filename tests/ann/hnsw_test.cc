@@ -35,6 +35,38 @@ TEST(HnswIndexTest, RejectsBadInput) {
   EXPECT_TRUE(index.Build(Tensor({0, 4})).IsInvalidArgument());
 }
 
+TEST(HnswIndexTest, RejectsConfigThatCannotBuildAGraph) {
+  // With m < 1 no list holds a link, 2 * m overflows int for m near 2^30,
+  // and a construction beam narrower than one finds no neighbour to link.
+  const Tensor vecs = RandomUnitVectors(50, 8, 9);
+  HnswConfig bad_m_zero, bad_m_negative, bad_m_large, bad_m_huge, bad_efc,
+      bad_efs;
+  bad_m_zero.m = 0;
+  bad_m_negative.m = -3;
+  bad_m_large.m = 1025;
+  bad_m_huge.m = 1 << 30;
+  bad_efc.ef_construction = 0;
+  bad_efs.ef_search = 0;
+  for (const HnswConfig& cfg : {bad_m_zero, bad_m_negative, bad_m_large,
+                                bad_m_huge, bad_efc, bad_efs}) {
+    HnswIndex index(cfg);
+    EXPECT_TRUE(index.Build(vecs).IsInvalidArgument())
+        << "m=" << cfg.m << " ef_construction=" << cfg.ef_construction
+        << " ef_search=" << cfg.ef_search;
+    EXPECT_EQ(index.size(), 0);
+  }
+  // Both ends of the m range build.
+  HnswConfig smallest, largest;
+  smallest.m = 1;
+  smallest.ef_construction = smallest.ef_search = 1;
+  largest.m = 1024;
+  for (const HnswConfig& cfg : {smallest, largest}) {
+    HnswIndex index(cfg);
+    ASSERT_TRUE(index.Build(vecs).ok()) << "m=" << cfg.m;
+    EXPECT_EQ(index.size(), 50);
+  }
+}
+
 TEST(HnswIndexTest, SelfIsNearestNeighbor) {
   Tensor vecs = RandomUnitVectors(300, 12, 2);
   HnswIndex index;

@@ -246,6 +246,16 @@ TEST(EngineValidationTest, UnknownIndexKindRejected) {
   EXPECT_FALSE(e.fitted());
 }
 
+TEST(EngineValidationTest, InvalidHnswConfigRejected) {
+  EngineConfig cfg = SmallEngineConfig();
+  cfg.index = "hnsw";
+  cfg.hnsw.m = 0;
+  UniMatchEngine e(cfg);
+  const Status st = e.Fit(EngineLog());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_FALSE(e.fitted());
+}
+
 TEST(EngineIvfTest, IvfIndexServesQueries) {
   EngineConfig cfg = SmallEngineConfig();
   cfg.index = "ivf";
