@@ -44,7 +44,7 @@ float HnswIndex::Score(const float* query, int64_t node) const {
   return quant_.Score(node, query);
 }
 
-Status HnswIndex::Build(const Tensor& vectors) {
+Status HnswIndex::CheckConfig() const {
   // MaxLinks(0) is 2m; the cap keeps it, and every list's reservation of
   // 2m + 1 slots, far from int overflow.
   if (config_.m < 1 || config_.m > 1024) {
@@ -54,6 +54,11 @@ Status HnswIndex::Build(const Tensor& vectors) {
     return Status::InvalidArgument(
         "HnswConfig::ef_construction and ef_search must be at least 1");
   }
+  return Status::OK();
+}
+
+Status HnswIndex::Build(const Tensor& vectors) {
+  UNIMATCH_RETURN_IF_ERROR(CheckConfig());
   if (vectors.rank() != 2) {
     return Status::InvalidArgument("index expects a [N, d] matrix");
   }

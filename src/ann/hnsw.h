@@ -48,6 +48,7 @@ class HnswIndex : public Index {
   explicit HnswIndex(HnswConfig config = {}) : config_(config) {}
 
   Status Build(const Tensor& vectors) override;
+  Status CheckConfig() const override;
   int64_t size() const override { return n_; }
   int64_t dim() const override { return d_; }
 

@@ -148,7 +148,15 @@ void BruteForceIndex::MultiSearchImpl(const float* queries, int64_t nq, int k,
   top.TakeInto(out);
 }
 
+Status IvfIndex::CheckConfig() const {
+  if (config_.nprobe < 1) {
+    return Status::InvalidArgument("IvfConfig::nprobe must be at least 1");
+  }
+  return Status::OK();
+}
+
 Status IvfIndex::Build(const Tensor& vectors) {
+  UNIMATCH_RETURN_IF_ERROR(CheckConfig());
   if (vectors.rank() != 2) {
     return Status::InvalidArgument("index expects a [N, d] matrix");
   }

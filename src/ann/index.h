@@ -42,8 +42,14 @@ class Index {
  public:
   virtual ~Index() = default;
 
-  /// Indexes the rows of `vectors` ([N, d]); row index = id.
+  /// Indexes the rows of `vectors` ([N, d]); row index = id. Returns
+  /// CheckConfig()'s error before doing any work.
   virtual Status Build(const Tensor& vectors) = 0;
+
+  /// InvalidArgument when the configuration cannot build an index, OK
+  /// otherwise. It reads the configuration alone, so a caller can reject a
+  /// bad one before computing the vectors to index.
+  virtual Status CheckConfig() const { return Status::OK(); }
 
   /// Batched top-k: answers `nq` queries (row-major [nq, d]) in one call,
   /// writing nq * k results query-major into `out` (out[q * k + r] is
@@ -98,7 +104,7 @@ class BruteForceIndex : public Index {
 struct IvfConfig {
   /// Number of coarse clusters; defaults to ~sqrt(N) when 0.
   int64_t nlist = 0;
-  /// Clusters scanned per query.
+  /// Clusters scanned per query (>= 1).
   int64_t nprobe = 8;
   int kmeans_iters = 10;
   uint64_t seed = 31;
@@ -111,6 +117,7 @@ class IvfIndex : public Index {
   explicit IvfIndex(IvfConfig config = {}) : config_(config) {}
 
   Status Build(const Tensor& vectors) override;
+  Status CheckConfig() const override;
   int64_t size() const override { return vectors_.rank() == 2 ? vectors_.dim(0) : 0; }
   int64_t dim() const override { return vectors_.rank() == 2 ? vectors_.dim(1) : 0; }
 

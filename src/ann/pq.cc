@@ -34,7 +34,15 @@ float L2DistanceSquared(const float* a, const float* b, int64_t n) {
 
 }  // namespace
 
+Status IvfPqIndex::CheckConfig() const {
+  if (config_.nprobe < 1) {
+    return Status::InvalidArgument("IvfPqConfig::nprobe must be at least 1");
+  }
+  return Status::OK();
+}
+
 Status IvfPqIndex::Build(const Tensor& vectors) {
+  UNIMATCH_RETURN_IF_ERROR(CheckConfig());
   if (vectors.rank() != 2) {
     return Status::InvalidArgument("index expects a [N, d] matrix");
   }

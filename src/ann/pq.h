@@ -37,7 +37,7 @@ namespace unimatch::ann {
 struct IvfPqConfig {
   /// Coarse clusters; defaults to ~sqrt(N) when 0.
   int64_t nlist = 0;
-  /// Coarse clusters scanned per query.
+  /// Coarse clusters scanned per query (>= 1).
   int64_t nprobe = 8;
   /// PQ subspaces m; auto-reduced to the largest divisor of d at Build.
   int64_t num_subspaces = 4;
@@ -56,6 +56,7 @@ class IvfPqIndex : public Index {
   explicit IvfPqIndex(IvfPqConfig config = {}) : config_(config) {}
 
   Status Build(const Tensor& vectors) override;
+  Status CheckConfig() const override;
   int64_t size() const override { return n_; }
   int64_t dim() const override { return d_; }
 

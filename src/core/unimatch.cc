@@ -1,5 +1,7 @@
 #include "src/core/unimatch.h"
 
+#include <cmath>
+
 #include "src/nn/serialize.h"
 #include "src/obs/obs.h"
 #include "src/serving/snapshot.h"
@@ -27,17 +29,59 @@ std::unique_ptr<ann::Index> UniMatchEngine::MakeConfiguredIndex() const {
   return nullptr;
 }
 
-Status UniMatchEngine::Fit(const data::InteractionLog& log) {
-  if (fitted()) {
-    return Status::FailedPrecondition("engine already fitted");
+Status UniMatchEngine::CheckConfig() const {
+  const model::TwoTowerConfig& mc = config_.model;
+  if (mc.embedding_dim < 1) {
+    return Status::InvalidArgument("model.embedding_dim must be at least 1");
   }
-  if (MakeConfiguredIndex() == nullptr) {
+  if (!(mc.temperature > 0.0f) || !std::isfinite(mc.temperature)) {
+    return Status::InvalidArgument(
+        "model.temperature must be positive and finite");
+  }
+  if (mc.num_extractor_layers < 1) {
+    return Status::InvalidArgument(
+        "model.num_extractor_layers must be at least 1");
+  }
+  if (mc.extractor == model::ContextExtractor::kCnn &&
+      (mc.conv_kernel < 1 || mc.conv_kernel % 2 == 0)) {
+    return Status::InvalidArgument(
+        "model.conv_kernel must be odd and positive");
+  }
+  if (!(mc.dropout >= 0.0f && mc.dropout < 1.0f)) {
+    return Status::InvalidArgument("model.dropout must be in [0, 1)");
+  }
+  const train::TrainConfig& tc = config_.train;
+  if (tc.num_threads < 1) {
+    return Status::InvalidArgument("train.num_threads must be at least 1");
+  }
+  if (tc.batch_size < 1) {
+    return Status::InvalidArgument("train.batch_size must be at least 1");
+  }
+  if (tc.ssm_num_negatives < 0) {
+    return Status::InvalidArgument(
+        "train.ssm_num_negatives must not be negative");
+  }
+  const data::WindowConfig& window = config_.split.window;
+  if (window.max_seq_len < 1 || window.min_history < 1) {
+    return Status::InvalidArgument(
+        "split.window.max_seq_len and min_history must be at least 1");
+  }
+  const std::unique_ptr<ann::Index> index = MakeConfiguredIndex();
+  if (index == nullptr) {
     // Fail loudly up front: a typo like "bruteforce" used to silently fall
     // back to the exact index and masked the intended configuration.
     return Status::InvalidArgument(
         "unknown EngineConfig::index \"" + config_.index +
         "\" (expected brute_force, ivf, ivfpq or hnsw)");
   }
+  return index->CheckConfig();
+}
+
+Status UniMatchEngine::Fit(const data::InteractionLog& log) {
+  if (fitted()) {
+    return Status::FailedPrecondition("engine already fitted");
+  }
+  UNIMATCH_RETURN_IF_ERROR(CheckConfig());
   if (log.empty()) return Status::InvalidArgument("empty interaction log");
   if (log.NumMonths() < 3) {
     return Status::InvalidArgument(

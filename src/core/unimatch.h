@@ -61,7 +61,8 @@ class UniMatchEngine {
 
   /// Builds splits from the log, trains incrementally over all training
   /// months with the configured loss, exports embeddings and builds the
-  /// serving indexes. May be called once per engine.
+  /// serving indexes. May be called once per engine. An invalid config
+  /// returns InvalidArgument before any model is built.
   Status Fit(const data::InteractionLog& log);
 
   /// Continues incremental training with one more month of data (the
@@ -111,6 +112,9 @@ class UniMatchEngine {
   std::unique_ptr<ann::Index> MakeConfiguredIndex() const;
 
  private:
+  /// InvalidArgument for any config value that the model, the trainer, the
+  /// windowing or the configured index would abort on or reject.
+  Status CheckConfig() const;
   Status RebuildIndexes();
 
   EngineConfig config_;

@@ -115,13 +115,6 @@ nn::Variable TwoTowerModel::EncodeUsers(
   const int64_t l = static_cast<int64_t>(history_ids.size()) / b;
   nn::Variable seq =
       nn::EmbeddingLookupSeq(user_lookup_, history_ids, b, l);
-  return EncodeFromEmbedded(seq, lengths, dropout_rng);
-}
-
-nn::Variable TwoTowerModel::EncodeFromEmbedded(
-    const nn::Variable& raw_seq, const std::vector<int64_t>& lengths,
-    Rng* dropout_rng) const {
-  nn::Variable seq = raw_seq;
   if (dropout_rng != nullptr && config_.dropout > 0.0f) {
     seq = nn::Dropout(seq, config_.dropout, dropout_rng);
   }
@@ -163,21 +156,6 @@ nn::Variable TwoTowerModel::EncodeFromEmbedded(
 nn::Variable TwoTowerModel::EncodeItems(
     const std::vector<int64_t>& item_ids) const {
   return nn::EmbeddingLookup(item_embeddings_, item_ids);
-}
-
-void TwoTowerModel::AliasParametersFrom(const TwoTowerModel& src) {
-  std::vector<nn::NamedParameter> mine = Parameters();
-  std::vector<nn::NamedParameter> theirs = src.Parameters();
-  UM_CHECK_EQ(mine.size(), theirs.size());
-  for (size_t i = 0; i < mine.size(); ++i) {
-    UM_CHECK(mine[i].name == theirs[i].name)
-        << mine[i].name << " vs " << theirs[i].name;
-    UM_CHECK(mine[i].variable.value().same_shape(theirs[i].variable.value()))
-        << "param " << mine[i].name;
-    // Tensor is a refcounted handle: assigning the value makes this model's
-    // parameter node read src's storage while keeping its own grad buffer.
-    mine[i].variable.mutable_value() = theirs[i].variable.value();
-  }
 }
 
 nn::Variable TwoTowerModel::Normalize(const nn::Variable& emb) const {

@@ -73,24 +73,6 @@ class TwoTowerModel : public nn::Module {
                            const std::vector<int64_t>& lengths,
                            Rng* dropout_rng = nullptr) const;
 
-  /// The user tower minus the embedding lookup: runs dropout, the context
-  /// extractor, and the aggregator on an already-embedded [B, L, d]
-  /// sequence. EncodeUsers is exactly lookup + this; the sharded training
-  /// step uses it to drive per-shard towers from gathered embedding rows.
-  nn::Variable EncodeFromEmbedded(const nn::Variable& seq,
-                                  const std::vector<int64_t>& lengths,
-                                  Rng* dropout_rng = nullptr) const;
-
-  /// The user-tower lookup table parameter ([num_items, d]; aliases the
-  /// item table when share_embeddings).
-  const nn::Variable& user_lookup_table() const { return user_lookup_; }
-
-  /// Points every parameter VALUE of this model at `src`'s storage (the
-  /// Tensor handles alias, gradients stay separate). Used to build
-  /// per-shard tower replicas that read the primary's weights but
-  /// accumulate their own gradients.
-  void AliasParametersFrom(const TwoTowerModel& src);
-
   /// Encodes item ids into raw item vectors [B, d].
   nn::Variable EncodeItems(const std::vector<int64_t>& item_ids) const;
 

@@ -251,38 +251,6 @@ Variable ConcatRows(const Variable& a, const Variable& b) {
       "ConcatRows");
 }
 
-Variable ConcatRowsN(const std::vector<Variable>& parts) {
-  UM_CHECK(!parts.empty());
-  const int64_t n = parts[0].dim(1);
-  int64_t rows = 0;
-  for (const auto& p : parts) {
-    UM_CHECK_SHAPE(p.rank() == 2 && p.dim(1) == n, parts[0], p)
-        << "ConcatRowsN";
-    rows += p.dim(0);
-  }
-  Tensor out = Tensor::Empty({rows, n});
-  int64_t offset = 0;
-  for (const auto& p : parts) {
-    const int64_t cnt = p.dim(0) * n;
-    std::copy(p.value().data(), p.value().data() + cnt, out.data() + offset);
-    offset += cnt;
-  }
-  return MakeOpVariable(
-      std::move(out), parts,
-      [parts, n](VarNode& node) {
-        int64_t offset = 0;
-        for (const auto& p : parts) {
-          const int64_t cnt = p.dim(0) * n;
-          Tensor gp = Tensor::Empty(p.shape());
-          std::copy(node.grad.data() + offset,
-                    node.grad.data() + offset + cnt, gp.data());
-          p.node()->AccumulateGrad(std::move(gp));
-          offset += cnt;
-        }
-      },
-      "ConcatRowsN");
-}
-
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a,
                 bool trans_b) {
   Tensor out = unimatch::MatMul(a.value(), b.value(), trans_a, trans_b);

@@ -40,10 +40,6 @@ Variable Transpose(const Variable& a);
 Variable ConcatCols(const Variable& a, const Variable& b);
 /// Concatenate two matrices along rows: [m1, n] ++ [m2, n] -> [m1+m2, n].
 Variable ConcatRows(const Variable& a, const Variable& b);
-/// N-way row concatenation: [m1, n] ++ ... ++ [mk, n] -> [sum(mi), n].
-/// Backward slices the upstream gradient back to each part in order; the
-/// sharded training step uses this to rejoin per-shard user embeddings.
-Variable ConcatRowsN(const std::vector<Variable>& parts);
 
 /// ----- linear algebra -----
 /// op(a) x op(b) for 2-D tensors.

@@ -26,26 +26,24 @@ Variable EmbeddingLookup(const Variable& table,
   return MakeOpVariable(
       std::move(out), {table},
       [table, ids, n](VarNode& node) {
-        AccumulateLookupGrad(table, {{ids.data(), node.grad.data(), n}});
+        AccumulateLookupGrad(table, ids.data(), node.grad.data(), n);
       },
       "EmbeddingLookup");
 }
 
-void AccumulateLookupGrad(const Variable& table,
-                          const std::vector<LookupGradSlice>& slices) {
+void AccumulateLookupGrad(const Variable& table, const int64_t* ids,
+                          const float* grad, int64_t n) {
   VarNode* node = table.node().get();
   if (!node->requires_grad) return;
   UM_CHECK_EQ(table.rank(), 2);
   const int64_t v = table.dim(0), d = table.dim(1);
   const int64_t words = (v + 63) / 64;
   std::vector<uint64_t> touched(words, 0);
-  for (const LookupGradSlice& s : slices) {
-    for (int64_t i = 0; i < s.n; ++i) {
-      const int64_t id = s.ids[i];
-      if (id == kPadId) continue;
-      UM_CHECK(id >= 0 && id < v) << "lookup id " << id << " of " << v;
-      touched[id >> 6] |= uint64_t{1} << (id & 63);
-    }
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t id = ids[i];
+    if (id == kPadId) continue;
+    UM_CHECK(id >= 0 && id < v) << "lookup id " << id << " of " << v;
+    touched[id >> 6] |= uint64_t{1} << (id & 63);
   }
   // rank[w] is the slot of word w's lowest set bit; rows comes out ascending.
   std::vector<int64_t> rank(words);
@@ -62,17 +60,15 @@ void AccumulateLookupGrad(const Variable& table,
     }
   }
   Tensor values({r, d});  // every row starts at +0.0f
-  for (const LookupGradSlice& s : slices) {
-    for (int64_t i = 0; i < s.n; ++i) {
-      const int64_t id = s.ids[i];
-      if (id == kPadId) continue;
-      const uint64_t word = touched[id >> 6];
-      const uint64_t below = word & ((uint64_t{1} << (id & 63)) - 1);
-      const int64_t slot = rank[id >> 6] + std::popcount(below);
-      const float* src = s.grad + i * d;
-      float* dst = values.data() + slot * d;
-      for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-    }
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t id = ids[i];
+    if (id == kPadId) continue;
+    const uint64_t word = touched[id >> 6];
+    const uint64_t below = word & ((uint64_t{1} << (id & 63)) - 1);
+    const int64_t slot = rank[id >> 6] + std::popcount(below);
+    const float* src = grad + i * d;
+    float* dst = values.data() + slot * d;
+    for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
   }
   node->AccumulateRowGrad(std::move(rows), std::move(values));
 }

@@ -25,23 +25,16 @@ inline constexpr int64_t kPadId = -1;
 Variable EmbeddingLookup(const Variable& table,
                          const std::vector<int64_t>& ids);
 
-/// One piece of a lookup's upstream gradient: `n` ids (each in [0, V) or
-/// kPadId) and the matching [n, d] gradient rows.
-struct LookupGradSlice {
-  const int64_t* ids;
-  const float* grad;
-  int64_t n;
-};
-
-/// The embedding lookup's backward: scatter-adds every non-pad slice row
-/// into row ids[i] of `table`'s gradient and accumulates the result as a
-/// row-sparse gradient holding only the touched rows, in ascending order.
-/// Each row starts at +0.0f and adds its contributions in slice order, then
-/// id order, so every row is bitwise what a dense [V, d] scatter computes.
-/// Costs O(n * d + V / 64): a bitmap marks the touched rows and popcount
-/// ranks give each its slot, so the ids are never sorted.
-void AccumulateLookupGrad(const Variable& table,
-                          const std::vector<LookupGradSlice>& slices);
+/// The embedding lookup's backward: scatter-adds row i of `grad` ([n, d])
+/// into row ids[i] of `table`'s gradient for every non-pad id (each in
+/// [0, V) or kPadId) and accumulates the result as a row-sparse gradient
+/// holding only the touched rows, in ascending order. Each row starts at
+/// +0.0f and adds its contributions in id order, so every row is bitwise
+/// what a dense [V, d] scatter computes. Costs O(n * d + V / 64): a bitmap
+/// marks the touched rows and popcount ranks give each its slot, so the
+/// ids are never sorted.
+void AccumulateLookupGrad(const Variable& table, const int64_t* ids,
+                          const float* grad, int64_t n);
 
 /// Sequence variant: ids is row-major [B, L]; output [B, L, d].
 Variable EmbeddingLookupSeq(const Variable& table,

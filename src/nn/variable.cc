@@ -103,15 +103,6 @@ void VarNode::AccumulateRowGrad(std::vector<int64_t> rows, Tensor values) {
   grad_rows = std::move(merged);
 }
 
-void VarNode::AccumulateGradFrom(const VarNode& other) {
-  if (!other.grad_defined) return;
-  if (other.grad_sparse) {
-    AccumulateRowGrad(other.grad_rows, other.grad.Clone());
-  } else {
-    AccumulateGrad(other.grad);
-  }
-}
-
 Tensor VarNode::DenseGrad() const {
   return grad_sparse ? RowsToDense(grad_rows, grad, value.shape()) : grad;
 }
@@ -189,11 +180,17 @@ void TopoSort(VarNode* root, std::vector<VarNode*>* order) {
   }
 }
 
-void RunBackward(VarNode* root_node, Tensor&& seed) {
+}  // namespace
+
+void Backward(const Variable& root) {
+  UM_CHECK(root.defined());
+  UM_CHECK_EQ(root.numel(), 1);
+  VarNode* root_node = root.node().get();
+  if (!root_node->requires_grad) return;
   std::vector<VarNode*> order;
   TopoSort(root_node, &order);
 
-  root_node->AccumulateGrad(std::move(seed));
+  root_node->AccumulateGrad(Tensor::Ones(root.value().shape()));
 
   // Post-order means inputs come before consumers; walk in reverse so each
   // node's grad is complete before its backward fires.
@@ -204,26 +201,6 @@ void RunBackward(VarNode* root_node, Tensor&& seed) {
       node->backward(*node);
     }
   }
-}
-
-}  // namespace
-
-void Backward(const Variable& root) {
-  UM_CHECK(root.defined());
-  UM_CHECK_EQ(root.numel(), 1);
-  VarNode* root_node = root.node().get();
-  if (!root_node->requires_grad) return;
-  RunBackward(root_node, Tensor::Ones(root.value().shape()));
-}
-
-void BackwardFrom(const Variable& root, const Tensor& seed) {
-  UM_CHECK(root.defined());
-  UM_CHECK(seed.same_shape(root.value()));
-  VarNode* root_node = root.node().get();
-  if (!root_node->requires_grad) return;
-  // The handle copy shares the caller's storage, so AccumulateGrad takes the
-  // copying path and the caller's seed tensor stays untouched.
-  RunBackward(root_node, Tensor(seed));
 }
 
 }  // namespace unimatch::nn

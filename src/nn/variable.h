@@ -53,8 +53,6 @@ struct VarNode {
   /// is adopted; row sets then merge row by row as a + b, which is what the
   /// dense add computes. On a dense gradient it is added densely.
   void AccumulateRowGrad(std::vector<int64_t> rows, Tensor values);
-  /// Adds `other`'s gradient, dense or row-sparse, into this node's.
-  void AccumulateGradFrom(const VarNode& other);
   /// The gradient in dense form: the stored tensor when dense, otherwise a
   /// fresh zero-filled tensor with the stored rows copied in.
   Tensor DenseGrad() const;
@@ -132,12 +130,6 @@ Variable MakeOpVariable(Tensor value, std::vector<Variable> inputs,
 /// requires_grad. Gradients accumulate across multiple Backward calls until
 /// ZeroGrad.
 void Backward(const Variable& root);
-
-/// Reverse-mode differentiation from a non-scalar `root`, seeded with an
-/// explicit upstream gradient d(loss)/d(root) of the same shape. Used by the
-/// sharded training step to continue a backward pass below a detached shard
-/// head whose gradient was produced by the main graph's Backward().
-void BackwardFrom(const Variable& root, const Tensor& seed);
 
 }  // namespace unimatch::nn
 

@@ -823,33 +823,6 @@ void F16ToF32(int64_t n, const uint16_t* src, float* dst) {
   for (int64_t i = 0; i < n; ++i) dst[i] = F16ToF32Scalar(src[i]);
 }
 
-void ScoreRowsI8(int64_t rows, int64_t d, const float* query,
-                 const int8_t* codes, int64_t row_stride, const float* scales,
-                 float* out) {
-  UM_CONTRACT(rows >= 0 && d >= 0 && row_stride >= d)
-      << "ScoreRowsI8 rows=" << rows << " d=" << d
-      << " stride=" << row_stride;
-  UM_CONTRACT(rows == 0 || (query != nullptr && codes != nullptr &&
-                            scales != nullptr && out != nullptr))
-      << "ScoreRowsI8 got null operand";
-  for (int64_t r = 0; r < rows; ++r) {
-    out[r] = scales[r] * DotF32I8(query, codes + r * row_stride, d);
-  }
-}
-
-void ScoreRowsF16(int64_t rows, int64_t d, const float* query,
-                  const uint16_t* half, int64_t row_stride, float* out) {
-  UM_CONTRACT(rows >= 0 && d >= 0 && row_stride >= d)
-      << "ScoreRowsF16 rows=" << rows << " d=" << d
-      << " stride=" << row_stride;
-  UM_CONTRACT(rows == 0 ||
-              (query != nullptr && half != nullptr && out != nullptr))
-      << "ScoreRowsF16 got null operand";
-  for (int64_t r = 0; r < rows; ++r) {
-    out[r] = DotF32F16(query, half + r * row_stride, d);
-  }
-}
-
 void DequantRowsI8(int64_t rows, int64_t d, const int8_t* codes,
                    int64_t row_stride, const float* scales, float* out) {
   UM_CONTRACT(rows >= 0 && d >= 0 && row_stride >= d)

@@ -124,16 +124,6 @@ void F32ToF16(int64_t n, const float* src, uint16_t* dst);
 /// dst[i] = half_to_float(src[i]). Exact (every binary16 is a float32).
 void F16ToF32(int64_t n, const uint16_t* src, float* dst);
 
-/// out[r] = scales[r] * DotF32I8(query, codes + r*stride, d) for r in
-/// [0, rows): the rowwise int8 scoring loop behind the quantized indexes.
-void ScoreRowsI8(int64_t rows, int64_t d, const float* query,
-                 const int8_t* codes, int64_t row_stride, const float* scales,
-                 float* out);
-
-/// out[r] = DotF32F16(query, half + r*stride, d) for r in [0, rows).
-void ScoreRowsF16(int64_t rows, int64_t d, const float* query,
-                  const uint16_t* half, int64_t row_stride, float* out);
-
 /// out[r * d + j] = scales[r] * float(codes[r * row_stride + j]) for rows
 /// [0, rows), packed output — block dequantization behind the batched
 /// quantized scans, where one decoded block is scored against a whole query

@@ -174,36 +174,6 @@ float QuantizedMatrix::Score(int64_t row, const float* query) const {
   return 0.0f;
 }
 
-void QuantizedMatrix::ScoreAllRows(const float* query, float* out) const {
-  UM_CHECK(valid()) << "ScoreAllRows on an empty QuantizedMatrix";
-  ScoreRows(0, rows_, query, out);
-}
-
-void QuantizedMatrix::ScoreRows(int64_t r0, int64_t r1, const float* query,
-                                float* out) const {
-  UM_CHECK(valid()) << "ScoreRows on an empty QuantizedMatrix";
-  UM_CHECK_GE(r0, 0);
-  UM_CHECK_LE(r0, r1);
-  UM_CHECK_LE(r1, rows_);
-  const int64_t rows = r1 - r0;
-  if (rows == 0) return;
-  switch (type_) {
-    case ScalarType::kF32:
-      for (int64_t r = 0; r < rows; ++r) {
-        out[r] = kernels::DotF32(query, f32_.data() + (r0 + r) * cols_,
-                                 cols_);
-      }
-      return;
-    case ScalarType::kF16:
-      kernels::ScoreRowsF16(rows, cols_, query, f16_row(r0), cols_, out);
-      return;
-    case ScalarType::kI8:
-      kernels::ScoreRowsI8(rows, cols_, query, i8_row(r0), cols_,
-                           scales_.data() + r0, out);
-      return;
-  }
-}
-
 float QuantizedMatrix::scale(int64_t row) const {
   UM_CHECK_GE(row, 0);
   UM_CHECK_LT(row, rows_);

@@ -84,15 +84,6 @@ class QuantizedMatrix {
   /// dequantization folded into the kernel (one multiply by the row scale).
   float Score(int64_t row, const float* query) const;
 
-  /// out[r] = Score(r, query) for every row — the flat-scan fast path.
-  void ScoreAllRows(const float* query, float* out) const;
-
-  /// out[i] = Score(r0 + i, query) for rows [r0, r1) — the blocked-scan
-  /// path behind batched search. Row-for-row identical to ScoreAllRows
-  /// (the row kernels score each row independently).
-  void ScoreRows(int64_t r0, int64_t r1, const float* query,
-                 float* out) const;
-
   /// Per-row int8 scale (kI8 only; an all-zero row has scale 0). kF32/kF16
   /// rows report 1.
   float scale(int64_t row) const;

@@ -7,10 +7,10 @@
 #include "src/nn/serialize.h"
 #include "src/obs/obs.h"
 #include "src/tensor/storage.h"
-#include "src/train/parallel_step.h"
 #include "src/util/contract.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
+#include "src/util/threadpool.h"
 
 namespace unimatch::train {
 
@@ -24,6 +24,9 @@ Trainer::Trainer(model::TwoTowerModel* model,
       << "num_threads must be >= 1, got " << config_.num_threads;
   optimizer_ = nn::MakeOptimizer(config_.optimizer, model_->Parameters(),
                                  config_.learning_rate);
+  if (config_.num_threads > 1) {
+    step_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
+  }
 }
 
 Trainer::~Trainer() = default;
@@ -135,15 +138,11 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
   [[maybe_unused]] const BufferPool::Stats pool_before =
       BufferPool::Global()->stats();
 
-  const bool parallel = config_.num_threads > 1;
-  if (parallel && !sharded_encoder_) {
-    sharded_encoder_ =
-        std::make_unique<ShardedUserEncoder>(model_, config_.num_threads);
-  }
+  const bool parallel = step_pool_ != nullptr;
   // Routes the row-local op loops (softmax, normalize, optimizer updates)
   // through the step pool for the duration of the epoch. A null region is
-  // the plain serial behavior.
-  ScopedParallelRegion region(parallel ? sharded_encoder_->pool() : nullptr);
+  // the plain serial behavior; either way every loop is bitwise the same.
+  ScopedParallelRegion region(step_pool_.get());
   if (parallel) {
     UM_GAUGE_SET("train.pipeline.threads", config_.num_threads);
   }
@@ -160,8 +159,7 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
     Tensor log_q_pos;
     // BatchIterator::Next is RNG-free (the shuffle happens in Reset), so
     // prefetching it on a background thread cannot perturb the training
-    // RNG stream. Gated on `parallel` to keep num_threads = 1 exactly the
-    // single-threaded seed behavior.
+    // RNG stream. Gated on `parallel` so num_threads = 1 starts no thread.
     std::unique_ptr<data::BatchPrefetcher> prefetch;
     if (parallel) {
       prefetch = std::make_unique<data::BatchPrefetcher>(
@@ -172,10 +170,7 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
     while (prefetch ? prefetch->Next(&batch) : it.Next(&batch)) {
       UM_SCOPED_TIMER("train.step.ms");
       nn::Variable users =
-          parallel ? sharded_encoder_->Encode(batch.history_ids,
-                                              batch.lengths, &rng_)
-                   : model_->EncodeUsers(batch.history_ids, batch.lengths,
-                                         &rng_);
+          model_->EncodeUsers(batch.history_ids, batch.lengths, &rng_);
       nn::Variable items = model_->EncodeItems(batch.targets);
       nn::Variable loss_var;
       if (ssm) {
@@ -208,7 +203,6 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
           << loss::LossKindToString(config_.loss) << " loss at step "
           << total_steps_;
       nn::Backward(loss_var);
-      if (parallel) sharded_encoder_->FinishBackward();
       if (config_.grad_clip > 0.0f) {
         optimizer_->ClipGradNorm(config_.grad_clip);
       }
@@ -254,17 +248,13 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
                     : produce_next(&batch, &labels)) {
       UM_SCOPED_TIMER("train.step.ms");
       nn::Variable users =
-          parallel ? sharded_encoder_->Encode(batch.history_ids,
-                                              batch.lengths, &rng_)
-                   : model_->EncodeUsers(batch.history_ids, batch.lengths,
-                                         &rng_);
+          model_->EncodeUsers(batch.history_ids, batch.lengths, &rng_);
       nn::Variable items = model_->EncodeItems(batch.targets);
       nn::Variable scores = model_->ScorePairs(users, items);
       nn::Variable loss_var = loss::BceLoss(scores, labels);
       UM_CHECK_FINITE(loss_var.value())
           << "BCE loss at step " << total_steps_;
       nn::Backward(loss_var);
-      if (parallel) sharded_encoder_->FinishBackward();
       if (config_.grad_clip > 0.0f) {
         optimizer_->ClipGradNorm(config_.grad_clip);
       }

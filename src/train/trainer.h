@@ -15,9 +15,11 @@
 #include "src/model/two_tower.h"
 #include "src/nn/optimizer.h"
 
-namespace unimatch::train {
+namespace unimatch {
+class ThreadPool;
+}  // namespace unimatch
 
-class ShardedUserEncoder;
+namespace unimatch::train {
 
 struct TrainConfig {
   loss::LossKind loss = loss::LossKind::kBbcNce;
@@ -38,12 +40,9 @@ struct TrainConfig {
   float lr_decay_per_month = 1.0f;
   /// Shared sampled negatives per batch for SSM.
   int ssm_num_negatives = 100;
-  /// Data-parallel training threads. 1 (the default) runs the exact serial
-  /// path — byte-for-byte identical to previous releases. N > 1 prefetches
-  /// batches on a background thread and shards each step's user tower
-  /// across N threads with a thread-count-independent shard partition, so
-  /// training is deterministic for a given (seed, num_threads) — and, for
-  /// extractor-free towers without dropout, bitwise identical to serial.
+  /// Training threads (>= 1). N > 1 prefetches batches on a background
+  /// thread and runs row-local loops on an N-thread pool. Results are
+  /// bitwise those of N = 1 for every tower, loss and dropout setting.
   int num_threads = 1;
   uint64_t seed = 99;
   bool verbose = false;
@@ -95,8 +94,8 @@ class Trainer {
   Rng rng_;
   std::unique_ptr<nn::Optimizer> optimizer_;
   std::unique_ptr<data::BceNegativeSampler> bce_sampler_;
-  /// Lazily built when config_.num_threads > 1.
-  std::unique_ptr<ShardedUserEncoder> sharded_encoder_;
+  /// The step's ScopedParallelRegion pool; null when num_threads is 1.
+  std::unique_ptr<ThreadPool> step_pool_;
 
   // SSM proposal distribution (item unigram over training targets).
   AliasSampler ssm_sampler_;

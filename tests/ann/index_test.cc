@@ -157,6 +157,23 @@ TEST(IvfIndexTest, MoreVectorsThanRequestedClusters) {
   EXPECT_EQ(r.size(), 3u);
 }
 
+// nprobe < 1 would size the coarse top-k at zero, which no search survives.
+TEST(IvfIndexTest, RejectsNprobeBelowOne) {
+  Tensor vecs = RandomUnitVectors(1000, 16, 12);
+  for (int64_t nprobe : {0, -1}) {
+    IvfConfig cfg;
+    cfg.nprobe = nprobe;
+    IvfIndex ivf(cfg);
+    EXPECT_TRUE(ivf.CheckConfig().IsInvalidArgument()) << nprobe;
+    EXPECT_TRUE(ivf.Build(vecs).IsInvalidArgument()) << nprobe;
+  }
+  IvfConfig cfg;
+  cfg.nprobe = 1;
+  IvfIndex ivf(cfg);
+  ASSERT_TRUE(ivf.Build(vecs).ok());
+  EXPECT_EQ(ivf.Search(vecs.data(), 10).size(), 10u);
+}
+
 TEST(IvfIndexTest, AllVectorsRetrievable) {
   // Every indexed vector must be found as its own nearest neighbor when all
   // lists are probed.

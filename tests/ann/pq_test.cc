@@ -42,6 +42,23 @@ TEST(IvfPqIndexTest, RejectsBadInput) {
   EXPECT_TRUE(index.Build(Tensor({0, 4})).IsInvalidArgument());
 }
 
+// nprobe < 1 would size the coarse top-k at zero, which no search survives.
+TEST(IvfPqIndexTest, RejectsNprobeBelowOne) {
+  Tensor vecs = RandomUnitVectors(1000, 16, 19);
+  for (int64_t nprobe : {0, -1}) {
+    IvfPqConfig config;
+    config.nprobe = nprobe;
+    IvfPqIndex index(config);
+    EXPECT_TRUE(index.CheckConfig().IsInvalidArgument()) << nprobe;
+    EXPECT_TRUE(index.Build(vecs).IsInvalidArgument()) << nprobe;
+  }
+  IvfPqConfig config;
+  config.nprobe = 1;
+  IvfPqIndex index(config);
+  ASSERT_TRUE(index.Build(vecs).ok());
+  EXPECT_EQ(index.Search(vecs.data(), 10).size(), 10u);
+}
+
 TEST(IvfPqIndexTest, BuildIsDeterministic) {
   Tensor vecs = RandomUnitVectors(500, 16, 20);
   IvfPqIndex a(AccurateConfig());

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <unordered_set>
 
 #include "src/data/synthetic.h"
@@ -254,7 +256,81 @@ TEST(EngineValidationTest, InvalidHnswConfigRejected) {
   const Status st = e.Fit(EngineLog());
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_FALSE(e.fitted());
+  EXPECT_EQ(e.model(), nullptr) << "rejected before training";
 }
+
+// A config value that would abort the process, or fail the index build
+// after every training month, once it reached the model, the trainer, the
+// windowing or the index.
+struct BadConfig {
+  const char* name;
+  void (*apply)(EngineConfig*);
+};
+
+void PrintTo(const BadConfig& bad, std::ostream* os) { *os << bad.name; }
+
+class EngineBadConfigTest : public ::testing::TestWithParam<BadConfig> {};
+
+TEST_P(EngineBadConfigTest, FitRejectsItBeforeTraining) {
+  EngineConfig cfg = SmallEngineConfig();
+  GetParam().apply(&cfg);
+  UniMatchEngine e(cfg);
+  const Status st = e.Fit(EngineLog());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_FALSE(e.fitted());
+  EXPECT_EQ(e.model(), nullptr) << "rejected before training";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Values, EngineBadConfigTest,
+    ::testing::Values(
+        BadConfig{"num_threads_0",
+                  [](EngineConfig* c) { c->train.num_threads = 0; }},
+        BadConfig{"num_threads_minus_2",
+                  [](EngineConfig* c) { c->train.num_threads = -2; }},
+        BadConfig{"batch_size_0",
+                  [](EngineConfig* c) { c->train.batch_size = 0; }},
+        BadConfig{"batch_size_minus_4",
+                  [](EngineConfig* c) { c->train.batch_size = -4; }},
+        BadConfig{"ssm_num_negatives_minus_3",
+                  [](EngineConfig* c) {
+                    c->train.loss = loss::LossKind::kSsm;
+                    c->train.ssm_num_negatives = -3;
+                  }},
+        BadConfig{"max_seq_len_0",
+                  [](EngineConfig* c) { c->split.window.max_seq_len = 0; }},
+        BadConfig{"min_history_0",
+                  [](EngineConfig* c) { c->split.window.min_history = 0; }},
+        BadConfig{"embedding_dim_0",
+                  [](EngineConfig* c) { c->model.embedding_dim = 0; }},
+        BadConfig{"temperature_0",
+                  [](EngineConfig* c) { c->model.temperature = 0.0f; }},
+        BadConfig{"extractor_layers_0",
+                  [](EngineConfig* c) { c->model.num_extractor_layers = 0; }},
+        BadConfig{"cnn_even_kernel",
+                  [](EngineConfig* c) {
+                    c->model.extractor = model::ContextExtractor::kCnn;
+                    c->model.conv_kernel = 4;
+                  }},
+        BadConfig{"dropout_1", [](EngineConfig* c) { c->model.dropout = 1.0f; }},
+        BadConfig{"hnsw_m_0",
+                  [](EngineConfig* c) {
+                    c->index = "hnsw";
+                    c->hnsw.m = 0;
+                  }},
+        BadConfig{"ivf_nprobe_0",
+                  [](EngineConfig* c) {
+                    c->index = "ivf";
+                    c->ivf.nprobe = 0;
+                  }},
+        BadConfig{"ivfpq_nprobe_minus_1",
+                  [](EngineConfig* c) {
+                    c->index = "ivfpq";
+                    c->ivfpq.nprobe = -1;
+                  }}),
+    [](const ::testing::TestParamInfo<BadConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(EngineIvfTest, IvfIndexServesQueries) {
   EngineConfig cfg = SmallEngineConfig();

@@ -240,16 +240,5 @@ TEST(RowSparseGradTest, LookupOfAnOpOutputBackpropagatesDensely) {
   EXPECT_TRUE(BitwiseEqual(base.grad(), want));
 }
 
-TEST(RowSparseGradTest, AccumulateGradFromCopiesTheRowForm) {
-  Variable src(Tensor({5, 2}), true);
-  Variable dst(Tensor({5, 2}), true);
-  Backward(Sum(EmbeddingLookup(src, {4, 1})));
-  dst.node()->AccumulateGradFrom(*src.node());
-  ASSERT_TRUE(dst.grad_row_sparse());
-  EXPECT_EQ(dst.grad_rows(), (std::vector<int64_t>{1, 4}));
-  EXPECT_TRUE(BitwiseEqual(dst.DenseGrad(), src.DenseGrad()));
-  EXPECT_NE(dst.grad().data(), src.grad().data());  // a copy, not an alias
-}
-
 }  // namespace
 }  // namespace unimatch::nn

@@ -157,25 +157,6 @@ TEST_P(QuantKernelsBackendTest, DotF32F16MatchesReference) {
   }
 }
 
-TEST_P(QuantKernelsBackendTest, ScoreRowsMatchPerRowDots) {
-  const int64_t rows = 13, d = 17;
-  Tensor m = RandomMatrix(rows, d, 90);
-  auto query = RandomVec(d, 91);
-
-  QuantizedMatrix qi8 = QuantizedMatrix::Quantize(m, ScalarType::kI8);
-  std::vector<float> all(rows, 0.0f);
-  qi8.ScoreAllRows(query.data(), all.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    EXPECT_FLOAT_EQ(all[r], qi8.Score(r, query.data())) << "row " << r;
-  }
-
-  QuantizedMatrix qf16 = QuantizedMatrix::Quantize(m, ScalarType::kF16);
-  qf16.ScoreAllRows(query.data(), all.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    EXPECT_FLOAT_EQ(all[r], qf16.Score(r, query.data())) << "row " << r;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // QuantizedMatrix storage semantics.
 // ---------------------------------------------------------------------------
