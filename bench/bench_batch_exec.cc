@@ -49,6 +49,7 @@
 #include "src/ann/pq.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/storage.h"
+#include "src/util/file_util.h"
 #include "src/util/logging.h"
 
 namespace unimatch {
@@ -287,8 +288,7 @@ int Main(int argc, char** argv) {
        << ", \"min_speedup\": " << kMinSpeedup
        << ", \"pass\": " << (pass ? "true" : "false") << "}\n"
        << "}\n";
-  if (const Status wst = bench::WriteFileAtomic(path, json.str());
-      !wst.ok()) {
+  if (const Status wst = WriteFileAtomic(path, json.str()); !wst.ok()) {
     UM_LOG(WARNING) << "cannot write " << path << ": " << wst.ToString();
     return 1;
   }

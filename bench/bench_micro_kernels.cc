@@ -28,6 +28,7 @@
 #include "src/obs/obs.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/tensor_ops.h"
+#include "src/util/file_util.h"
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
 #include "src/util/timer.h"
@@ -272,7 +273,7 @@ void WriteKernelsJson(bool smoke) {
     first = false;
   }
   out << "\n  ]\n}\n";
-  if (const Status wst = bench::WriteFileAtomic(path, out.str()); !wst.ok()) {
+  if (const Status wst = WriteFileAtomic(path, out.str()); !wst.ok()) {
     UM_LOG(WARNING) << "cannot write " << path << ": " << wst.ToString();
     return;
   }

@@ -41,6 +41,7 @@
 #include "src/core/unimatch.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/quant.h"
+#include "src/util/file_util.h"
 #include "src/util/logging.h"
 #include "src/util/timer.h"
 
@@ -233,7 +234,7 @@ int Main(int argc, char** argv) {
       << ", \"min_compression_x\": " << kMinCompression
       << ", \"pass\": " << (pass ? "true" : "false") << "}\n"
       << "}\n";
-  if (const Status wst = bench::WriteFileAtomic(path, out.str()); !wst.ok()) {
+  if (const Status wst = WriteFileAtomic(path, out.str()); !wst.ok()) {
     UM_LOG(WARNING) << "cannot write " << path << ": " << wst.ToString();
     return 1;
   }

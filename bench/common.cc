@@ -259,27 +259,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  // Same-directory temp file so the rename stays within one filesystem.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open temp file " + tmp);
-  }
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != contents.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
 double ParseScale(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {

@@ -15,7 +15,6 @@
 
 #include "src/data/synthetic.h"
 #include "src/eval/evaluator.h"
-#include "src/util/status.h"
 #include "src/eval/popularity.h"
 #include "src/train/trainer.h"
 #include "src/util/string_util.h"
@@ -104,12 +103,6 @@ bool SmokeMode();
 /// interpolates into a BENCH_*.json must pass through here — dataset names
 /// and error strings are not guaranteed quote-free.
 std::string JsonEscape(const std::string& s);
-
-/// Writes `contents` to `path` atomically: a temp file in the same
-/// directory, flushed and closed, then std::rename over the target. A
-/// bench that crashes mid-emit leaves the previous BENCH_*.json intact
-/// instead of a truncated one; CI consumers never parse half a file.
-Status WriteFileAtomic(const std::string& path, const std::string& contents);
 
 /// Declared first thing in a bench's main(), dumps the observability
 /// registry (src/obs) to `BENCH_<name>_metrics.json` when the bench exits —

@@ -23,6 +23,7 @@
 #include "src/data/csv_loader.h"
 #include "src/data/synthetic.h"
 #include "src/eval/evaluator.h"
+#include "src/util/file_util.h"
 #include "src/util/flags.h"
 #include "src/util/string_util.h"
 #include "src/util/table_printer.h"
@@ -85,14 +86,14 @@ int CmdSynth(const ArgParser& args) {
       args.GetInt("interactions", cfg.target_interactions / 2);
   const std::string out = args.GetString("out", "/tmp/unimatch_log.csv");
   const data::InteractionLog log = data::GenerateSynthetic(cfg);
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) return Fail("cannot write " + out);
-  std::fprintf(f, "user_id,item_id,day\n");
+  std::string csv = "user_id,item_id,day\n";
   for (const auto& r : log.records()) {
-    std::fprintf(f, "u%lld,i%lld,%d\n", (long long)r.user, (long long)r.item,
-                 r.day);
+    csv += StrFormat("u%lld,i%lld,%d\n", (long long)r.user, (long long)r.item,
+                     r.day);
   }
-  std::fclose(f);
+  if (const Status st = WriteFileAtomic(out, csv); !st.ok()) {
+    return Fail(st.ToString());
+  }
   std::printf("wrote %lld records to %s\n", (long long)log.size(),
               out.c_str());
   return 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/nn/optimizer.h"
 #include "src/nn/serialize.h"
 #include "src/obs/obs.h"
 #include "src/serving/snapshot.h"
@@ -60,6 +61,10 @@ Status UniMatchEngine::CheckConfig() const {
   if (tc.ssm_num_negatives < 0) {
     return Status::InvalidArgument(
         "train.ssm_num_negatives must not be negative");
+  }
+  if (nn::MakeOptimizer(tc.optimizer, {}, tc.learning_rate) == nullptr) {
+    return Status::InvalidArgument("unknown train.optimizer \"" +
+                                   tc.optimizer + "\"");
   }
   const data::WindowConfig& window = config_.split.window;
   if (window.max_seq_len < 1 || window.min_history < 1) {

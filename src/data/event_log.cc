@@ -1,7 +1,6 @@
 #include "src/data/event_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 
 #include "src/util/logging.h"
@@ -61,38 +60,6 @@ InteractionLog InteractionLog::SliceDays(Day from, Day to) const {
     if (r.day >= from && r.day < to) out.records_.push_back(r);
   }
   return out;
-}
-
-Status InteractionLog::SaveToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  std::fprintf(f, "# num_users=%lld num_items=%lld\n",
-               static_cast<long long>(num_users_),
-               static_cast<long long>(num_items_));
-  for (const auto& r : records_) {
-    std::fprintf(f, "%lld %lld %d\n", static_cast<long long>(r.user),
-                 static_cast<long long>(r.item), r.day);
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
-Result<InteractionLog> InteractionLog::LoadFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return Status::IOError("cannot open for read: " + path);
-  long long nu = 0, ni = 0;
-  if (std::fscanf(f, "# num_users=%lld num_items=%lld\n", &nu, &ni) != 2) {
-    std::fclose(f);
-    return Status::IOError("bad header in " + path);
-  }
-  InteractionLog log(nu, ni);
-  long long u = 0, i = 0;
-  int d = 0;
-  while (std::fscanf(f, "%lld %lld %d\n", &u, &i, &d) == 3) {
-    log.Add(u, i, d);
-  }
-  std::fclose(f);
-  return log;
 }
 
 }  // namespace unimatch::data

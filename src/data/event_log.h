@@ -3,11 +3,9 @@
 #ifndef UNIMATCH_DATA_EVENT_LOG_H_
 #define UNIMATCH_DATA_EVENT_LOG_H_
 
-#include <string>
 #include <vector>
 
 #include "src/data/types.h"
-#include "src/util/status.h"
 
 namespace unimatch::data {
 
@@ -54,10 +52,6 @@ class InteractionLog {
 
   /// Returns a copy containing only records with day in [from, to).
   InteractionLog SliceDays(Day from, Day to) const;
-
-  /// Serialization to a simple "user item day" text format (one per line).
-  Status SaveToFile(const std::string& path) const;
-  static Result<InteractionLog> LoadFromFile(const std::string& path);
 
  private:
   int64_t num_users_ = 0;

@@ -23,6 +23,7 @@
 
 #include "src/data/event_log.h"
 #include "src/util/random.h"
+#include "src/util/status.h"
 
 namespace unimatch::data {
 

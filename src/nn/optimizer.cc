@@ -176,7 +176,6 @@ std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name,
     return std::make_unique<Adagrad>(std::move(params), lr);
   }
   if (name == "adam") return std::make_unique<Adam>(std::move(params), lr);
-  UM_LOG(FATAL) << "unknown optimizer: " << name;
   return nullptr;
 }
 

@@ -84,7 +84,8 @@ class Adam : public Optimizer {
   std::vector<Tensor> v_;
 };
 
-/// Factory from a config string: "sgd" | "adagrad" | "adam".
+/// Factory from a config string: "sgd" | "adagrad" | "adam". Null for any
+/// other name.
 std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name,
                                          std::vector<NamedParameter> params,
                                          float lr);

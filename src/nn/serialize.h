@@ -1,9 +1,9 @@
-// Checkpointing: save/load a module's named parameters to a binary file.
+// Checkpointing: save/load a module's named parameters to a file.
 //
-// Format (little-endian):
-//   magic "UMCK" | uint32 version | uint64 count |
-//   per parameter: uint32 name_len | name bytes | uint32 rank |
-//                  int64 dims[rank] | float data[numel]
+// A checkpoint is a record file (src/util/file_util.h), the format embedding
+// bundles share: one checksummed record per parameter, holding its name,
+// shape and values, and written atomically, so a failed save leaves the
+// previous checkpoint intact.
 //
 // Loading matches by name and checks shapes, so checkpoints survive
 // reordering of parameter registration but not architecture changes. This is
@@ -21,17 +21,17 @@
 
 namespace unimatch::nn {
 
-/// Writes all parameters to `path`. IOError when any write, the flush or
-/// the close fails.
+/// Replaces `path` with a checkpoint of all parameters. IOError when the
+/// save fails; the previous file is then left as it was.
 Status SaveParameters(const std::vector<NamedParameter>& params,
                       const std::string& path);
 
 /// Reads a checkpoint and copies values into matching parameters. Fails if a
 /// checkpoint entry has no matching name or mismatched shape, or the file is
-/// corrupt or holds a NaN or infinite value (IOError); a failed load leaves
-/// every parameter unchanged. Parameters not
-/// present in the checkpoint are left untouched (and reported via the
-/// optional `missing` list).
+/// corrupt or holds a NaN or infinite value (IOError) or is not a checkpoint;
+/// a failed load leaves every parameter unchanged. Parameters not present in
+/// the checkpoint are left untouched (and reported via the optional
+/// `missing` list).
 Status LoadParameters(const std::string& path,
                       std::vector<NamedParameter>* params,
                       std::vector<std::string>* missing = nullptr);

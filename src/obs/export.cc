@@ -1,14 +1,12 @@
 #include "src/obs/export.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "src/obs/metrics.h"
+#include "src/util/file_util.h"
 
 namespace unimatch::obs {
 
@@ -37,7 +35,8 @@ void WriteEscaped(const std::string& s, std::ostream& os) {
 }
 
 void WriteDouble(double v, std::ostream& os) {
-  // max_digits10 keeps the parse side exact; JSON has no inf/nan, so clamp.
+  // max_digits10 lets a reader recover the exact double; JSON has no
+  // inf/nan, so clamp.
   if (std::isnan(v)) v = 0.0;
   if (std::isinf(v)) v = v > 0 ? 1e308 : -1e308;
   char buf[64];
@@ -55,131 +54,6 @@ void WriteJoined(const Seq& seq, std::ostream& os, Fn&& write_one) {
     write_one(item);
   }
 }
-
-// --- Minimal JSON reader (objects, arrays, strings, numbers) covering the
-// subset WriteSnapshotJson emits. Not a general-purpose parser.
-
-struct JsonParser {
-  const std::string& text;
-  size_t pos = 0;
-  std::string error;
-
-  explicit JsonParser(const std::string& t) : text(t) {}
-
-  bool Fail(const std::string& msg) {
-    if (error.empty()) {
-      error = msg + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool PeekIs(char c) {
-    SkipWs();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) return Fail("truncated escape");
-        const char e = text[pos++];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'u': {
-            if (pos + 4 > text.size()) return Fail("truncated \\u escape");
-            const int code = std::stoi(text.substr(pos, 4), nullptr, 16);
-            pos += 4;
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return Fail("unsupported escape");
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos >= text.size()) return Fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-
-  bool ParseDouble(double* out) {
-    SkipWs();
-    const char* start = text.c_str() + pos;
-    char* end = nullptr;
-    *out = std::strtod(start, &end);
-    if (end == start) return Fail("expected number");
-    pos += static_cast<size_t>(end - start);
-    return true;
-  }
-
-  bool ParseInt(int64_t* out) {
-    double d = 0.0;
-    if (!ParseDouble(&d)) return false;
-    *out = static_cast<int64_t>(d);
-    return true;
-  }
-
-  // Parses `{"key": <value>, ...}`, invoking on_field(key) positioned at the
-  // value. on_field must consume the value and return success.
-  template <typename Fn>
-  bool ParseObject(Fn&& on_field) {
-    if (!Consume('{')) return false;
-    if (PeekIs('}')) return Consume('}');
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      if (!on_field(key)) return Fail("bad value for key '" + key + "'");
-      if (PeekIs(',')) {
-        Consume(',');
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  template <typename T, typename Fn>
-  bool ParseArray(std::vector<T>* out, Fn&& parse_one) {
-    out->clear();
-    if (!Consume('[')) return false;
-    if (PeekIs(']')) return Consume(']');
-    while (true) {
-      T v{};
-      if (!parse_one(&v)) return false;
-      out->push_back(v);
-      if (PeekIs(',')) {
-        Consume(',');
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-};
 
 }  // namespace
 
@@ -263,67 +137,10 @@ void WriteSnapshotJson(const MetricsSnapshot& snapshot, std::ostream& os) {
   os << (snapshot.units.empty() ? "" : "\n  ") << "}\n}\n";
 }
 
-Result<MetricsSnapshot> ParseSnapshotJson(const std::string& json) {
-  MetricsSnapshot snap;
-  JsonParser p(json);
-  const bool ok = p.ParseObject([&](const std::string& section) {
-    if (section == "schema") {
-      std::string schema;
-      if (!p.ParseString(&schema)) return false;
-      return schema == "unimatch.metrics.v1" ||
-             p.Fail("unknown schema '" + schema + "'");
-    }
-    if (section == "counters") {
-      return p.ParseObject([&](const std::string& name) {
-        return p.ParseInt(&snap.counters[name]);
-      });
-    }
-    if (section == "gauges") {
-      return p.ParseObject([&](const std::string& name) {
-        return p.ParseDouble(&snap.gauges[name]);
-      });
-    }
-    if (section == "units") {
-      return p.ParseObject([&](const std::string& name) {
-        return p.ParseString(&snap.units[name]);
-      });
-    }
-    if (section == "histograms") {
-      return p.ParseObject([&](const std::string& name) {
-        HistogramSnapshot& h = snap.histograms[name];
-        return p.ParseObject([&](const std::string& field) {
-          if (field == "count") return p.ParseInt(&h.count);
-          if (field == "sum") return p.ParseDouble(&h.sum);
-          if (field == "p50") return p.ParseDouble(&h.p50);
-          if (field == "p90") return p.ParseDouble(&h.p90);
-          if (field == "p99") return p.ParseDouble(&h.p99);
-          if (field == "bounds") {
-            return p.ParseArray(&h.bounds,
-                                [&](double* v) { return p.ParseDouble(v); });
-          }
-          if (field == "bucket_counts") {
-            return p.ParseArray(&h.bucket_counts,
-                                [&](int64_t* v) { return p.ParseInt(v); });
-          }
-          return p.Fail("unknown histogram field '" + field + "'");
-        });
-      });
-    }
-    return p.Fail("unknown section '" + section + "'");
-  });
-  if (!ok) {
-    return Status::InvalidArgument("metrics JSON parse error: " + p.error);
-  }
-  return snap;
-}
-
 Status WriteMetricsJsonFile(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  MetricRegistry::Global()->DumpJson(out);
-  out.flush();
-  if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
+  std::ostringstream json;
+  MetricRegistry::Global()->DumpJson(json);
+  return WriteFileAtomic(path, json.str());
 }
 
 }  // namespace unimatch::obs

@@ -1,6 +1,6 @@
 // Snapshot + serialization for the metrics registry: a point-in-time value
-// capture, a JSON writer/parser pair (so bench metrics files round-trip into
-// tooling), and a plain-text dump for eyeballing.
+// capture and a JSON writer (the bench metrics files, read by tooling and
+// people).
 
 #ifndef UNIMATCH_OBS_EXPORT_H_
 #define UNIMATCH_OBS_EXPORT_H_
@@ -44,15 +44,12 @@ struct MetricsSnapshot {
 MetricsSnapshot TakeSnapshot(const MetricRegistry& registry);
 
 /// Writes the snapshot as JSON (schema "unimatch.metrics.v1", see
-/// docs/OBSERVABILITY.md). Doubles are printed with max_digits10 precision
-/// so ParseSnapshotJson recovers them exactly.
+/// docs/OBSERVABILITY.md). Doubles are printed with max_digits10 precision,
+/// so a reader recovers them exactly.
 void WriteSnapshotJson(const MetricsSnapshot& snapshot, std::ostream& os);
 
-/// Parses a JSON document produced by WriteSnapshotJson.
-Result<MetricsSnapshot> ParseSnapshotJson(const std::string& json);
-
-/// Dumps the global registry as JSON to `path` (atomically enough for bench
-/// use: write then close). Returns IOError on failure.
+/// Dumps the global registry as JSON, replacing `path` atomically
+/// (WriteFileAtomic). Returns IOError on failure.
 Status WriteMetricsJsonFile(const std::string& path);
 
 }  // namespace unimatch::obs

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <unordered_map>
 
 #include "src/obs/obs.h"
 #include "src/util/file_util.h"
+#include "src/util/string_util.h"
 #include "src/util/threadpool.h"
 
 namespace unimatch::serving {
@@ -109,14 +109,12 @@ std::string UserName(const data::IdMap* map, data::UserId id) {
 Status WriteAudienceCsv(const std::vector<AudienceEntry>& audience,
                         const std::string& path, const data::IdMap* items,
                         const data::IdMap* users) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  std::fprintf(f.get(), "item_id,user_id,score\n");
+  std::string csv = "item_id,user_id,score\n";
   for (const auto& e : audience) {
-    std::fprintf(f.get(), "%s,%s,%.6f\n", ItemName(items, e.item).c_str(),
-                 UserName(users, e.user).c_str(), e.score);
+    csv += StrFormat("%s,%s,%.6f\n", ItemName(items, e.item).c_str(),
+                     UserName(users, e.user).c_str(), e.score);
   }
-  return CloseWritten(std::move(f), path);
+  return WriteFileAtomic(path, csv);
 }
 
 Result<std::vector<NewsletterEntry>> BuildNewsletter(
@@ -146,17 +144,15 @@ Result<std::vector<NewsletterEntry>> BuildNewsletter(
 Status WriteNewsletterCsv(const std::vector<NewsletterEntry>& newsletter,
                           const std::string& path, const data::IdMap* items,
                           const data::IdMap* users) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  std::fprintf(f.get(), "user_id,rank,item_id,score\n");
+  std::string csv = "user_id,rank,item_id,score\n";
   for (const auto& e : newsletter) {
     for (size_t r = 0; r < e.items.size(); ++r) {
-      std::fprintf(f.get(), "%s,%zu,%s,%.6f\n",
-                   UserName(users, e.user).c_str(), r + 1,
-                   ItemName(items, e.items[r].id).c_str(), e.items[r].score);
+      csv += StrFormat("%s,%zu,%s,%.6f\n", UserName(users, e.user).c_str(),
+                       r + 1, ItemName(items, e.items[r].id).c_str(),
+                       e.items[r].score);
     }
   }
-  return CloseWritten(std::move(f), path);
+  return WriteFileAtomic(path, csv);
 }
 
 }  // namespace unimatch::serving

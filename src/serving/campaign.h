@@ -37,7 +37,7 @@ Result<std::vector<AudienceEntry>> BuildAudience(
 
 /// Writes an audience as CSV (item_id,user_id,score). Ids are mapped
 /// through the optional IdMaps when given, else written as integers.
-/// IOError when any write, the flush or the close fails.
+/// Replaces `path` atomically (WriteFileAtomic); IOError when that fails.
 Status WriteAudienceCsv(const std::vector<AudienceEntry>& audience,
                         const std::string& path,
                         const data::IdMap* items = nullptr,

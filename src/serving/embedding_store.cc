@@ -1,46 +1,20 @@
 #include "src/serving/embedding_store.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "src/obs/obs.h"
 #include "src/tensor/kernels.h"
 #include "src/util/file_util.h"
+#include "src/util/string_util.h"
 
 namespace unimatch::serving {
 
 namespace {
-constexpr char kMagic[4] = {'U', 'M', 'E', 'B'};
-constexpr uint32_t kVersion = 1;
+// The bundle's two records, in file order.
+constexpr const char* kMatrixNames[2] = {"users", "items"};
 
-Status WriteMatrix(std::FILE* f, const Tensor& t) {
-  if (t.rank() != 2) return Status::InvalidArgument("expected [N, d] matrix");
-  const int64_t dims[2] = {t.dim(0), t.dim(1)};
-  if (std::fwrite(dims, sizeof(dims), 1, f) != 1 ||
-      std::fwrite(t.data(), sizeof(float), t.numel(), f) !=
-          static_cast<size_t>(t.numel())) {
-    return Status::IOError("short write");
-  }
-  return Status::OK();
-}
-
-Result<Tensor> ReadMatrix(std::FILE* f, const std::string& path) {
-  int64_t dims[2] = {0, 0};
-  if (std::fread(dims, sizeof(dims), 1, f) != 1 || dims[0] < 0 ||
-      dims[1] <= 0) {
-    return Status::IOError("corrupt matrix header");
-  }
-  // The header is file input: the floats it claims must fit in what is
-  // left of the file before anything is allocated for them.
-  const int64_t left_floats =
-      BytesLeft(f) / static_cast<int64_t>(sizeof(float));
-  if (dims[1] > left_floats || dims[0] > left_floats / dims[1]) {
-    return Status::IOError("matrix header exceeds the file size");
-  }
-  Tensor t({dims[0], dims[1]});
-  UNIMATCH_RETURN_IF_ERROR(ReadFiniteFloats(f, t.data(), t.numel(), path));
-  return t;
+RecordView MatrixRecord(const char* name, const Tensor& t) {
+  return {name, t.shape(), {t.data(), static_cast<size_t>(t.numel())}};
 }
 }  // namespace
 
@@ -49,39 +23,38 @@ Status SaveEmbeddings(const EmbeddingBundle& bundle,
   UM_SCOPED_TIMER("serving.store.save.ms");
   UM_COUNTER_INC("serving.store.saves");
   UM_GAUGE_SET("serving.store.version", static_cast<double>(bundle.version));
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  if (std::fwrite(kMagic, 4, 1, f.get()) != 1 ||
-      std::fwrite(&kVersion, sizeof(kVersion), 1, f.get()) != 1 ||
-      std::fwrite(&bundle.version, sizeof(bundle.version), 1, f.get()) != 1) {
-    return Status::IOError("short write: " + path);
+  if (bundle.user_embeddings.rank() != 2 ||
+      bundle.item_embeddings.rank() != 2) {
+    return Status::InvalidArgument("expected [N, d] matrices");
   }
-  UNIMATCH_RETURN_IF_ERROR(WriteMatrix(f.get(), bundle.user_embeddings));
-  UNIMATCH_RETURN_IF_ERROR(WriteMatrix(f.get(), bundle.item_embeddings));
-  return CloseWritten(std::move(f), path);
+  const RecordView records[] = {
+      MatrixRecord(kMatrixNames[0], bundle.user_embeddings),
+      MatrixRecord(kMatrixNames[1], bundle.item_embeddings)};
+  return WriteRecordFile(path, RecordKind::kEmbeddingBundle, bundle.version,
+                         records);
 }
 
 Result<EmbeddingBundle> LoadEmbeddings(const std::string& path) {
   UM_SCOPED_TIMER("serving.store.load.ms");
   UM_COUNTER_INC("serving.store.loads");
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open for read: " + path);
-  char magic[4];
-  uint32_t version = 0;
+  Result<RecordFile> file = ReadRecordFile(path, RecordKind::kEmbeddingBundle);
+  if (!file.ok()) return file.status();
+  if (file->records.size() != 2) {
+    return Status::IOError("an embedding bundle holds two matrices: " + path);
+  }
   EmbeddingBundle bundle;
-  if (std::fread(magic, 4, 1, f.get()) != 1 ||
-      std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::IOError("bad embedding-store magic: " + path);
+  bundle.version = file->tag;
+  Tensor* matrices[2] = {&bundle.user_embeddings, &bundle.item_embeddings};
+  for (int k = 0; k < 2; ++k) {
+    Record& rec = file->records[k];
+    if (rec.name != kMatrixNames[k] || rec.dims.size() != 2 ||
+        rec.dims[1] < 1) {
+      return Status::IOError(
+          StrFormat("record %d of %s is not the [N, d] %s matrix", k,
+                    path.c_str(), kMatrixNames[k]));
+    }
+    *matrices[k] = Tensor(std::move(rec.dims), std::move(rec.values));
   }
-  if (std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-      version != kVersion) {
-    return Status::IOError("unsupported embedding-store version");
-  }
-  if (std::fread(&bundle.version, sizeof(bundle.version), 1, f.get()) != 1) {
-    return Status::IOError("truncated bundle header");
-  }
-  UNIMATCH_ASSIGN_OR_RETURN(bundle.user_embeddings, ReadMatrix(f.get(), path));
-  UNIMATCH_ASSIGN_OR_RETURN(bundle.item_embeddings, ReadMatrix(f.get(), path));
   return bundle;
 }
 

@@ -2,9 +2,11 @@
 //
 // In the paper's production setting, training and serving are separate
 // systems: the trainer exports one user matrix and one item matrix per
-// refresh; downstream ANN services load them. This store writes/reads the
-// matrices with a version tag and row-count/dimension metadata, and can
-// diff two versions to quantify embedding churn between monthly refreshes.
+// refresh; downstream ANN services load them. A bundle is a record file
+// (src/util/file_util.h), the format checkpoints share: the version sits in
+// the header, and the user and item matrices are two checksummed records,
+// written atomically. The store can also diff two versions to quantify
+// embedding churn between monthly refreshes.
 //
 // Thread safety: stateless free functions — no shared mutable state, no
 // locks, nothing to rank. Concurrent calls are safe as long as callers do
@@ -27,12 +29,14 @@ struct EmbeddingBundle {
   Tensor item_embeddings;  // [K, d]
 };
 
-/// Writes a bundle to `path` (binary, versioned, magic-checked). IOError
-/// when any write, the flush or the close fails.
+/// Replaces `path` with `bundle`. InvalidArgument unless both tensors are
+/// matrices; IOError when the save fails, leaving the previous file as it
+/// was.
 Status SaveEmbeddings(const EmbeddingBundle& bundle, const std::string& path);
 
-/// Reads a bundle back. IOError when the file is corrupt or holds a NaN or
-/// infinite value.
+/// Reads a bundle back; its version round-trips exactly. IOError when the
+/// file is corrupt or holds a NaN or infinite value; InvalidArgument when it
+/// is a checkpoint.
 Result<EmbeddingBundle> LoadEmbeddings(const std::string& path);
 
 /// Mean L2 distance between matching rows of two embedding matrices —

@@ -24,6 +24,8 @@ Trainer::Trainer(model::TwoTowerModel* model,
       << "num_threads must be >= 1, got " << config_.num_threads;
   optimizer_ = nn::MakeOptimizer(config_.optimizer, model_->Parameters(),
                                  config_.learning_rate);
+  UM_CHECK(optimizer_ != nullptr)
+      << "unknown optimizer: " << config_.optimizer;
   if (config_.num_threads > 1) {
     step_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }

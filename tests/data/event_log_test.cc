@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 namespace unimatch::data {
 namespace {
 
@@ -65,26 +63,6 @@ TEST(InteractionLogTest, SliceDaysHalfOpen) {
     EXPECT_GE(r.day, 5);
     EXPECT_LT(r.day, 40);
   }
-}
-
-TEST(InteractionLogTest, SaveLoadRoundtrip) {
-  InteractionLog log = SmallLog();
-  log.SortByUserDay();
-  const std::string path =
-      std::string(::testing::TempDir()) + "/log_roundtrip.txt";
-  ASSERT_TRUE(log.SaveToFile(path).ok());
-  auto loaded = InteractionLog::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), log.size());
-  EXPECT_EQ(loaded->num_users(), log.num_users());
-  EXPECT_EQ(loaded->num_items(), log.num_items());
-  EXPECT_EQ(loaded->records(), log.records());
-  std::remove(path.c_str());
-}
-
-TEST(InteractionLogTest, LoadMissingFileFails) {
-  EXPECT_TRUE(
-      InteractionLog::LoadFromFile("/definitely/not/here.txt").status().IsIOError());
 }
 
 TEST(InteractionLogDeathTest, OutOfRangeIdsCheck) {

@@ -249,9 +249,10 @@ TEST(SparseStepTest, RowsOutsideTheGradientStayBitwiseUnchanged) {
   }
 }
 
-TEST(MakeOptimizerDeathTest, UnknownNameFatal) {
+TEST(MakeOptimizerTest, UnknownNameIsNull) {
   Variable w(Tensor({1}), true);
-  EXPECT_DEATH(MakeOptimizer("nadam", {{"w", w}}, 0.1f), "unknown optimizer");
+  EXPECT_EQ(MakeOptimizer("nadam", {{"w", w}}, 0.1f), nullptr);
+  EXPECT_EQ(MakeOptimizer("adamw", {}, 0.1f), nullptr);
 }
 
 }  // namespace

@@ -8,12 +8,18 @@
 #include <limits>
 
 #include "src/nn/layers.h"
+#include "tests/util/file_testing.h"
 
 namespace unimatch::nn {
 namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+bool BitwiseEqual(const Tensor& x, const Tensor& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) == 0;
 }
 
 TEST(SerializeTest, SaveLoadRoundtrip) {
@@ -28,8 +34,8 @@ TEST(SerializeTest, SaveLoadRoundtrip) {
   Variable b2(Tensor({7}), true);
   std::vector<NamedParameter> params2 = {{"a", a2}, {"b", b2}};
   ASSERT_TRUE(LoadParameters(path, &params2).ok());
-  EXPECT_TRUE(AllClose(a.value(), a2.value()));
-  EXPECT_TRUE(AllClose(b.value(), b2.value()));
+  EXPECT_TRUE(BitwiseEqual(a.value(), a2.value()));
+  EXPECT_TRUE(BitwiseEqual(b.value(), b2.value()));
   std::remove(path.c_str());
 }
 
@@ -110,42 +116,34 @@ TEST(SerializeTest, CorruptMagicRejected) {
 }
 
 TEST(SerializeTest, OversizedNameLengthRejected) {
-  // A header that claims a 4 GiB parameter name in a 20-byte file must fail
-  // on the file size, before any allocation of that size.
+  // A record that claims a 4 GiB parameter name, under valid checksums,
+  // must fail on the bytes left, before any allocation of that size.
   const std::string path = TempPath("oversized_name.ckpt");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const uint32_t format = 1;
-  const uint64_t count = 1;
-  const uint32_t name_len = 0xFFFFFFFFu;
-  std::fwrite("UMCK", 4, 1, f);
-  std::fwrite(&format, sizeof(format), 1, f);
-  std::fwrite(&count, sizeof(count), 1, f);
-  std::fwrite(&name_len, sizeof(name_len), 1, f);
-  std::fclose(f);
   Variable a(Tensor({2}), true);
   std::vector<NamedParameter> params = {{"a", a}};
+  ASSERT_TRUE(SaveParameters(params, path).ok());
+  std::string bytes = file_testing::ReadBytes(path);
+  const auto layout = file_testing::Records(bytes);
+  file_testing::Poke(&bytes, layout[0].name_len, uint32_t{0xFFFFFFFFu});
+  file_testing::Reseal(&bytes, layout);
+  file_testing::WriteBytes(path, bytes);
   EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, OversizedShapeRejected) {
-  // One parameter whose dims multiply past int64: rejected as corrupt
-  // instead of overflowing the element count.
-  Variable a(Tensor({2}), true);
-  std::vector<NamedParameter> params = {{"a", a}};
+  // One parameter whose dims multiply past int64, under valid checksums:
+  // rejected as corrupt instead of overflowing the element count.
   const std::string path = TempPath("oversized_shape.ckpt");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const uint32_t format = 1, name_len = 1, rank = 2;
-  const uint64_t count = 1;
-  const int64_t dims[2] = {int64_t{1} << 40, int64_t{1} << 40};
-  std::fwrite("UMCK", 4, 1, f);
-  std::fwrite(&format, sizeof(format), 1, f);
-  std::fwrite(&count, sizeof(count), 1, f);
-  std::fwrite(&name_len, sizeof(name_len), 1, f);
-  std::fwrite("a", 1, 1, f);
-  std::fwrite(&rank, sizeof(rank), 1, f);
-  std::fwrite(dims, sizeof(dims), 1, f);
-  std::fclose(f);
+  Variable a(Tensor({2, 1}), true);
+  std::vector<NamedParameter> params = {{"a", a}};
+  ASSERT_TRUE(SaveParameters(params, path).ok());
+  std::string bytes = file_testing::ReadBytes(path);
+  const auto layout = file_testing::Records(bytes);
+  file_testing::Poke(&bytes, layout[0].dims, int64_t{1} << 40);
+  file_testing::Poke(&bytes, layout[0].dims + 8, int64_t{1} << 40);
+  file_testing::Reseal(&bytes, layout);
+  file_testing::WriteBytes(path, bytes);
   EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
   std::remove(path.c_str());
 }
@@ -157,11 +155,6 @@ void SaveTwoParams(const std::string& path) {
   Variable b(Tensor::Randn({4, 4}, 1.0f, &rng), true);
   std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
   ASSERT_TRUE(SaveParameters(params, path).ok());
-}
-
-bool BitwiseEqual(const Tensor& x, const Tensor& y) {
-  return x.same_shape(y) &&
-         std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) == 0;
 }
 
 TEST(SerializeTest, TruncatedFileLeavesEveryParameterUnchanged) {
@@ -198,12 +191,13 @@ TEST(SerializeTest, NonFiniteValueRejectedAndLeavesParametersUnchanged) {
   for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                           std::numeric_limits<float>::infinity()}) {
     SaveTwoParams(path);
-    // Overwrite the last float of "b".
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, -static_cast<long>(sizeof(float)), SEEK_END), 0);
-    ASSERT_EQ(std::fwrite(&bad, sizeof(bad), 1, f), 1u);
-    std::fclose(f);
+    // Overwrite the last float of "b" and reseal the checksums, so the
+    // value itself is what the loader must reject.
+    std::string bytes = file_testing::ReadBytes(path);
+    const auto layout = file_testing::Records(bytes);
+    file_testing::Poke(&bytes, layout[1].crc - sizeof(float), bad);
+    file_testing::Reseal(&bytes, layout);
+    file_testing::WriteBytes(path, bytes);
 
     Variable a(Tensor({4, 4}), true);
     Variable b(Tensor({4, 4}), true);
@@ -213,6 +207,24 @@ TEST(SerializeTest, NonFiniteValueRejectedAndLeavesParametersUnchanged) {
     EXPECT_TRUE(BitwiseEqual(a.value(), a0));
     EXPECT_TRUE(BitwiseEqual(b.value(), b0));
   }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, FlippedPayloadBitIsIOError) {
+  const std::string path = TempPath("flipped.ckpt");
+  SaveTwoParams(path);
+  // One mantissa bit of the last float of "b"; the record's CRC sits after it.
+  std::string bytes = file_testing::ReadBytes(path);
+  bytes[bytes.size() - 4 - 2] ^= 0x01;
+  file_testing::WriteBytes(path, bytes);
+
+  Variable a(Tensor({4, 4}), true);
+  Variable b(Tensor({4, 4}), true);
+  const Tensor a0 = a.value().Clone(), b0 = b.value().Clone();
+  std::vector<NamedParameter> params = {{"a", a}, {"b", b}};
+  EXPECT_TRUE(LoadParameters(path, &params).IsIOError());
+  EXPECT_TRUE(BitwiseEqual(a.value(), a0));
+  EXPECT_TRUE(BitwiseEqual(b.value(), b0));
   std::remove(path.c_str());
 }
 

@@ -4,14 +4,17 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/data/synthetic.h"
+#include "src/nn/serialize.h"
 #include "src/serving/campaign.h"
 #include "src/serving/embedding_store.h"
+#include "tests/util/file_testing.h"
 
 namespace unimatch::serving {
 namespace {
@@ -23,16 +26,22 @@ std::string TempPath(const char* name) {
 TEST(EmbeddingStoreTest, SaveLoadRoundtrip) {
   Rng rng(1);
   EmbeddingBundle b;
-  b.version = 7;
+  b.version = (int64_t{1} << 41) + 7;
   b.user_embeddings = Tensor::Randn({10, 4}, 1.0f, &rng);
   b.item_embeddings = Tensor::Randn({5, 4}, 1.0f, &rng);
   const std::string path = TempPath("emb.bin");
   ASSERT_TRUE(SaveEmbeddings(b, path).ok());
   auto loaded = LoadEmbeddings(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 7);
-  EXPECT_TRUE(AllClose(loaded->user_embeddings, b.user_embeddings));
-  EXPECT_TRUE(AllClose(loaded->item_embeddings, b.item_embeddings));
+  EXPECT_EQ(loaded->version, b.version);
+  for (const auto& [got, want] :
+       {std::pair{&loaded->user_embeddings, &b.user_embeddings},
+        std::pair{&loaded->item_embeddings, &b.item_embeddings}}) {
+    ASSERT_TRUE(got->same_shape(*want));
+    EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                          sizeof(float) * want->numel()),
+              0);
+  }
   std::remove(path.c_str());
 }
 
@@ -46,20 +55,35 @@ TEST(EmbeddingStoreTest, RejectsCorruptFile) {
 }
 
 TEST(EmbeddingStoreTest, OversizedHeaderIsIOErrorNotAllocation) {
-  // A 32-byte file whose first matrix header claims 2^36 x 16 floats: the
-  // loader must refuse it from the file size, not try to allocate 4 TiB.
+  // A small file whose user matrix claims 2^36 x 16 floats under valid
+  // checksums: the loader must refuse it from the bytes left, not try to
+  // allocate 4 TiB.
   const std::string path = TempPath("oversized.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const uint32_t format = 1;
-  const int64_t version = 1;
-  const int64_t dims[2] = {int64_t{1} << 36, 16};
-  std::fwrite("UMEB", 4, 1, f);
-  std::fwrite(&format, sizeof(format), 1, f);
-  std::fwrite(&version, sizeof(version), 1, f);
-  std::fwrite(dims, sizeof(dims), 1, f);
-  ASSERT_EQ(std::ftell(f), 32);
-  std::fclose(f);
+  EmbeddingBundle b;
+  b.user_embeddings = Tensor::Ones({1, 16});
+  b.item_embeddings = Tensor::Ones({1, 16});
+  ASSERT_TRUE(SaveEmbeddings(b, path).ok());
+  std::string bytes = file_testing::ReadBytes(path);
+  const auto layout = file_testing::Records(bytes);
+  file_testing::Poke(&bytes, layout[0].dims, int64_t{1} << 36);
+  file_testing::Reseal(&bytes, layout);
+  file_testing::WriteBytes(path, bytes);
   EXPECT_TRUE(LoadEmbeddings(path).status().IsIOError());
+  std::remove(path.c_str());
+}
+
+TEST(EmbeddingStoreTest, CheckpointAndBundleAreNotInterchangeable) {
+  const std::string path = TempPath("kind.bin");
+  EmbeddingBundle b;
+  b.user_embeddings = Tensor::Ones({2, 4});
+  b.item_embeddings = Tensor::Ones({3, 4});
+  ASSERT_TRUE(SaveEmbeddings(b, path).ok());
+  nn::Variable users(Tensor({2, 4}), true);
+  std::vector<nn::NamedParameter> params = {{"users", users}};
+  EXPECT_FALSE(nn::LoadParameters(path, &params).ok());
+
+  ASSERT_TRUE(nn::SaveParameters(params, path).ok());
+  EXPECT_FALSE(LoadEmbeddings(path).ok());
   std::remove(path.c_str());
 }
 

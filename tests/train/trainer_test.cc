@@ -120,6 +120,13 @@ TEST(TrainerTest, TrainMonthsSkipsEmptyMonths) {
   EXPECT_EQ(trainer.total_steps(), 0);
 }
 
+TEST(TrainerDeathTest, UnknownOptimizerFatal) {
+  model::TwoTowerModel model(SmallModel());
+  TrainConfig tc;
+  tc.optimizer = "adamw";
+  EXPECT_DEATH(Trainer(&model, &env().splits, tc), "unknown optimizer: adamw");
+}
+
 TEST(TrainerTest, TrainIndicesEmptyIsError) {
   model::TwoTowerModel model(SmallModel());
   TrainConfig tc;

@@ -39,6 +39,10 @@ Rules (see docs/STATIC_ANALYSIS.md):
                   array, persistent heap vectors), where they are recycled
                   per thread instead of re-allocated per query; the
                   bench_batch_exec allocs/query gate depends on it.
+  file-write      no fopen/fwrite/std::rename/std::ofstream/std::fstream in
+                  src/, bench/ or examples/ outside src/util/file_util.cc
+                  (write through WriteFileAtomic, which replaces the target
+                  whole or not at all; tests/ may craft corrupt files)
 
 Suppress a finding with a trailing `// NOLINT(<rule>): why` comment on the
 offending line.
@@ -53,7 +57,7 @@ LINT_DIRS = ("src", "tests", "bench", "examples")
 
 RULES = ("include-guard", "include-cc", "naked-new", "cout", "raw-thread",
          "tensor-storage", "naked-mutex", "std-lock", "quant-cast",
-         "ann-search-container")
+         "ann-search-container", "file-write")
 
 _NOLINT_RE = re.compile(r"NOLINT\(([a-z-]+)\)")
 _INCLUDE_CC_RE = re.compile(r'^\s*#\s*include\s+["<][^">]*\.cc[">]')
@@ -72,6 +76,9 @@ _QUANT_CAST_RE = re.compile(
     r"reinterpret_cast\s*<\s*(?:const\s+)?"
     r"(?:float|(?:std::)?(?:u?int8_t|uint16_t))\s*\*\s*>")
 _ANN_CONTAINER_RE = re.compile(r"\bstd::(?:unordered_set|priority_queue)\b")
+_FILE_WRITE_RE = re.compile(
+    r"\bstd::(?:ofstream|fstream)\b"
+    r"|(?<![\w.>])(?:std::|::)?(?:fopen|fwrite|rename)\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -150,6 +157,9 @@ def check_file(relpath, text, errors):
     in_ann_search = (relpath.startswith("src/ann/") and
                      relpath not in ("src/ann/workspace.h",
                                      "src/ann/workspace.cc"))
+    writes_through_file_util = (
+        relpath.startswith(("src/", "bench/", "examples/")) and
+        relpath != "src/util/file_util.cc")
 
     def report(lineno, rule, message):
         if not suppressed(raw_lines[lineno - 1], rule):
@@ -184,6 +194,10 @@ def check_file(relpath, text, errors):
         # Matched against the raw line: the stripper blanks the "..." path.
         if _INCLUDE_CC_RE.match(raw_lines[idx]):
             report(lineno, "include-cc", "never #include a .cc file")
+        if writes_through_file_util and _FILE_WRITE_RE.search(line):
+            report(lineno, "file-write",
+                   "file write outside src/util/file_util.cc; use "
+                   "WriteFileAtomic (src/util/file_util.h)")
         if in_src:
             if not in_tensor:
                 if _NEW_RE.search(line):
@@ -240,7 +254,7 @@ def iter_files(paths):
         root_dir = os.path.join(REPO_ROOT, top)
         for dirpath, _, filenames in os.walk(root_dir):
             for name in sorted(filenames):
-                if name.endswith((".cc", ".h")):
+                if name.endswith((".cc", ".cpp", ".h")):
                     yield os.path.relpath(os.path.join(dirpath, name),
                                           REPO_ROOT)
 
@@ -284,6 +298,8 @@ def self_test():
                        "(codes.data());\n"),
         "ann-search-container": ("src/ann/h.cc",
                                  "std::unordered_set<int64_t> visited;\n"),
+        "file-write": ("examples/x.cpp",
+                       "std::FILE* f = std::fopen(path, \"w\");\n"),
     }
     failures = []
     for rule, (path, body) in cases.items():
@@ -305,6 +321,7 @@ def self_test():
              "using Id = std::thread::id;  // type alias, not a thread\n"
              "// prefer um::Mutex over std::mutex — comment, no finding\n"
              "// reinterpret_cast<float*> in a comment is also fine\n"
+             "inline void R(Log* log) { log->rename(1); }  // not std::rename\n"
              "inline const void* P(const int* p) {\n"
              "  return reinterpret_cast<const void*>(p);  // not a quant type\n"
              "}\n"
@@ -312,6 +329,10 @@ def self_test():
     false_positives = check_file(*clean, [])
     if false_positives:
         failures.append("false positives on clean file: %s" % false_positives)
+    # The writer itself and the tests that craft corrupt files may write.
+    for exempt in ("src/util/file_util.cc", "tests/util/x_test.cc"):
+        if check_file(exempt, "std::rename(a, b);\nstd::ofstream o(p);\n", []):
+            failures.append("file-write reported in exempt %s" % exempt)
     for f in failures:
         print("SELF-TEST FAIL: %s" % f)
     print("lint.py --self-test: %d case(s), %d failure(s)" %
