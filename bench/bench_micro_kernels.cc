@@ -91,7 +91,8 @@ void BM_BbcNceStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_BbcNceStep)->Arg(64)->Arg(128);
+// 256 is the batch size every perfbench workload trains at.
+BENCHMARK(BM_BbcNceStep)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GruEncode(benchmark::State& state) {
   model::TwoTowerConfig mc;

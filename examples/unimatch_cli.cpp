@@ -37,11 +37,32 @@ int Fail(const std::string& msg) {
   return 1;
 }
 
-data::CsvFormat FormatFromArgs(const ArgParser& args) {
+// Parses the value of --`flag` (or `fallback` when absent) with `parse`;
+// an unknown value is an error that names the flag.
+template <typename T>
+Result<T> ParseFlag(const ArgParser& args, const std::string& flag,
+                    const std::string& fallback,
+                    Result<T> (*parse)(const std::string&)) {
+  Result<T> value = parse(args.GetString(flag, fallback));
+  if (!value.ok()) {
+    return Status::InvalidArgument("--" + flag + ": " +
+                                   value.status().message());
+  }
+  return value;
+}
+
+Result<data::CsvFormat::TimeUnit> TimeUnitFromString(const std::string& s) {
+  if (s == "day") return data::CsvFormat::TimeUnit::kDayIndex;
+  if (s == "unix") return data::CsvFormat::TimeUnit::kUnixSeconds;
+  if (s == "iso") return data::CsvFormat::TimeUnit::kIsoDate;
+  return Status::InvalidArgument("unknown time unit: " + s +
+                                 " (expected day, unix or iso)");
+}
+
+Result<data::CsvFormat> FormatFromArgs(const ArgParser& args) {
   data::CsvFormat fmt;
-  const std::string unit = args.GetString("time-unit", "day");
-  if (unit == "unix") fmt.time_unit = data::CsvFormat::TimeUnit::kUnixSeconds;
-  if (unit == "iso") fmt.time_unit = data::CsvFormat::TimeUnit::kIsoDate;
+  UNIMATCH_ASSIGN_OR_RETURN(
+      fmt.time_unit, ParseFlag(args, "time-unit", "day", &TimeUnitFromString));
   fmt.has_header = args.GetBool("header", true);
   fmt.skip_bad_rows = args.GetBool("skip-bad-rows", false);
   return fmt;
@@ -50,22 +71,24 @@ data::CsvFormat FormatFromArgs(const ArgParser& args) {
 Result<data::LoadedLog> LoadData(const ArgParser& args) {
   const std::string path = args.GetString("data");
   if (path.empty()) return Status::InvalidArgument("--data is required");
-  return data::LoadCsvLog(path, FormatFromArgs(args));
+  UNIMATCH_ASSIGN_OR_RETURN(const data::CsvFormat fmt, FormatFromArgs(args));
+  return data::LoadCsvLog(path, fmt);
 }
 
-core::EngineConfig EngineConfigFromArgs(const ArgParser& args) {
+Result<core::EngineConfig> EngineConfigFromArgs(const ArgParser& args) {
   core::EngineConfig config;
   config.model.embedding_dim = args.GetInt("dim", 16);
   config.model.temperature =
       static_cast<float>(args.GetDouble("temperature", 0.15));
-  auto extractor =
-      model::ContextExtractorFromString(args.GetString("extractor", "none"));
-  auto aggregator =
-      model::AggregatorFromString(args.GetString("aggregator", "mean"));
-  if (extractor.ok()) config.model.extractor = *extractor;
-  if (aggregator.ok()) config.model.aggregator = *aggregator;
-  auto loss = loss::LossKindFromString(args.GetString("loss", "bbcnce"));
-  if (loss.ok()) config.train.loss = *loss;
+  UNIMATCH_ASSIGN_OR_RETURN(
+      config.model.extractor,
+      ParseFlag(args, "extractor", "none", &model::ContextExtractorFromString));
+  UNIMATCH_ASSIGN_OR_RETURN(
+      config.model.aggregator,
+      ParseFlag(args, "aggregator", "mean", &model::AggregatorFromString));
+  UNIMATCH_ASSIGN_OR_RETURN(
+      config.train.loss,
+      ParseFlag(args, "loss", "bbcnce", &loss::LossKindFromString));
   config.train.batch_size = static_cast<int>(args.GetInt("batch", 64));
   config.train.epochs_per_month =
       static_cast<int>(args.GetInt("epochs", 2));
@@ -119,7 +142,9 @@ int CmdStats(const ArgParser& args) {
 int CmdTrain(const ArgParser& args) {
   auto loaded = LoadData(args);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
-  core::UniMatchEngine engine(EngineConfigFromArgs(args));
+  auto config = EngineConfigFromArgs(args);
+  if (!config.ok()) return Fail(config.status().ToString());
+  core::UniMatchEngine engine(*config);
   Status st = engine.Fit(loaded->log);
   if (!st.ok()) return Fail(st.ToString());
   const std::string ckpt = args.GetString("ckpt");
@@ -138,8 +163,9 @@ int CmdTrain(const ArgParser& args) {
 // restores a checkpoint to skip re-optimizing embeddings).
 Result<std::unique_ptr<core::UniMatchEngine>> BringUp(
     const ArgParser& args, const data::LoadedLog& loaded) {
-  auto engine =
-      std::make_unique<core::UniMatchEngine>(EngineConfigFromArgs(args));
+  UNIMATCH_ASSIGN_OR_RETURN(const core::EngineConfig config,
+                            EngineConfigFromArgs(args));
+  auto engine = std::make_unique<core::UniMatchEngine>(config);
   const std::string ckpt = args.GetString("ckpt");
   UNIMATCH_RETURN_IF_ERROR(engine->Fit(loaded.log));
   if (!ckpt.empty()) {

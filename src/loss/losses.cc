@@ -57,6 +57,24 @@ NceSettings SettingsFor(LossKind kind) {
   }
 }
 
+namespace {
+
+// One in-batch term of Eq. 10 on [B, B] logits whose diagonal holds the
+// positives: -weight * mean_r log softmax_c(logits[r][c] - log_p[c])[r],
+// with log_p subtracted only when `correct` is set.
+nn::Variable InBatchTerm(const nn::Variable& logits, const Tensor& log_p,
+                         bool correct, float weight) {
+  nn::Variable shifted = logits;
+  if (correct) {
+    shifted = nn::AddRowVector(logits,
+                               nn::ScalarMul(nn::Constant(log_p), -1.0f));
+  }
+  return nn::ScalarMul(
+      nn::Mean(nn::TakeDiagonal(nn::LogSoftmax(shifted))), -weight);
+}
+
+}  // namespace
+
 nn::Variable NceFamilyLoss(const nn::Variable& scores, const Tensor& log_pu,
                            const Tensor& log_pi,
                            const NceSettings& settings) {
@@ -72,30 +90,16 @@ nn::Variable NceFamilyLoss(const nn::Variable& scores, const Tensor& log_pu,
 
   nn::Variable total;
   if (settings.alpha > 0.0f) {
-    nn::Variable row_logits = scores;
-    if (settings.delta_alpha) {
-      // h(u, i') = exp(phi(u, i') - log p(i')): subtract column item's
-      // log-marginal from every row.
-      row_logits = nn::AddRowVector(
-          row_logits, nn::ScalarMul(nn::Constant(log_pi), -1.0f));
-    }
-    nn::Variable row_loss = nn::ScalarMul(
-        nn::Mean(nn::TakeDiagonal(nn::LogSoftmax(row_logits, /*dim=*/1))),
-        -settings.alpha);
-    total = row_loss;
+    // Each user's positive against the batch's items:
+    // h(u, i') = exp(phi(u, i') - log p(i')).
+    total = InBatchTerm(scores, log_pi, settings.delta_alpha, settings.alpha);
   }
   if (settings.beta > 0.0f) {
-    nn::Variable col_logits = scores;
-    if (settings.delta_beta) {
-      // o(u', i) = exp(phi(u', i) - log p(u')): subtract row user's
-      // log-marginal from every column.
-      col_logits = nn::AddColVector(
-          col_logits, nn::ScalarMul(nn::Constant(log_pu), -1.0f));
-    }
-    nn::Variable col_loss = nn::ScalarMul(
-        nn::Mean(nn::TakeDiagonal(nn::LogSoftmax(col_logits, /*dim=*/0))),
-        -settings.beta);
-    total = total.defined() ? nn::Add(total, col_loss) : col_loss;
+    // Each item's positive against the batch's users,
+    // o(u', i) = exp(phi(u', i) - log p(u')): the same term on S^T.
+    nn::Variable col = InBatchTerm(nn::Transpose(scores), log_pu,
+                                   settings.delta_beta, settings.beta);
+    total = total.defined() ? nn::Add(total, col) : col;
   }
   return total;
 }
@@ -124,7 +128,7 @@ nn::Variable SampledSoftmaxLoss(const nn::Variable& pos_scores,
       neg_scores, nn::ScalarMul(nn::Constant(log_q_neg), -1.0f));
 
   nn::Variable logits = nn::ConcatCols(pos_adj, neg_adj);  // [B, 1+S]
-  nn::Variable log_probs = nn::LogSoftmax(logits, /*dim=*/1);
+  nn::Variable log_probs = nn::LogSoftmax(logits);
   return nn::ScalarMul(nn::Mean(nn::TakeColumn(log_probs, 0)), -1.0f);
 }
 

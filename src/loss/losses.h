@@ -7,6 +7,10 @@
 //   l = -mean_r [ alpha * log softmax_c(S[r][c] - da*log p(i_c))[r]
 //               + beta  * log softmax_r(S[r][c] - db*log p(u_r))[c] ]    (diag)
 //
+// The beta term is the alpha term of S^T with log p(u) in place of
+// log p(i), and NceFamilyLoss computes it that way: every softmax runs
+// over rows.
+//
 // Setting (alpha, beta, da, db) recovers each named loss per Table II:
 //   InfoNCE   = (1, 0, 0, 0)      -> optimum log [p(u,i) / p(u)p(i)]
 //   SimCLR    = (1, 1, 0, 0)      -> same optimum, both directions

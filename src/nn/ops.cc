@@ -35,6 +35,13 @@ Variable UnaryElementwise(const Variable& a, Fwd fwd, Dfdx dfdx,
       name);
 }
 
+// dst = src^T for a row-major [m, n] src.
+void TransposeCopy(int64_t m, int64_t n, const float* src, float* dst) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) dst[j * m + i] = src[i * n + j];
+  }
+}
+
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
@@ -186,16 +193,12 @@ Variable Transpose(const Variable& a) {
   UM_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out = Tensor::Empty({n, m});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) out.at(j, i) = a.value().at(i, j);
-  }
+  TransposeCopy(m, n, a.value().data(), out.data());
   return MakeOpVariable(
       std::move(out), {a},
       [a, m, n](VarNode& node) {
         Tensor g = Tensor::Empty(a.shape());
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < n; ++j) g.at(i, j) = node.grad.at(j, i);
-        }
+        TransposeCopy(n, m, node.grad.data(), g.data());
         a.node()->AccumulateGrad(std::move(g));
       },
       "Transpose");
@@ -306,31 +309,6 @@ Variable AddRowVector(const Variable& x, const Variable& v) {
       "AddRowVector");
 }
 
-Variable AddColVector(const Variable& x, const Variable& v) {
-  UM_CHECK_SHAPE(x.rank() == 2 && v.numel() == x.dim(0), x, v)
-      << "AddColVector";
-  const int64_t m = x.dim(0), n = x.dim(1);
-  Tensor out = x.value().Clone();
-  RegionParallelFor(
-      0, m,
-      [&](int64_t i) {
-        float* row = out.data() + i * n;
-        const float add = v.value().data()[i];
-        for (int64_t j = 0; j < n; ++j) row[j] += add;
-      },
-      /*min_shard=*/32);
-  return MakeOpVariable(
-      std::move(out), {x, v},
-      [x, v, m, n](VarNode& node) {
-        x.node()->AccumulateGrad(node.grad);
-        Tensor flat = node.grad.Reshaped({m, n});
-        Tensor row_sums = Tensor::Empty({m});
-        ReduceSumRows(flat, &row_sums);
-        v.node()->AccumulateGrad(row_sums.Reshaped(v.shape()));
-      },
-      "AddColVector");
-}
-
 Variable TakeDiagonal(const Variable& a) {
   UM_CHECK_EQ(a.rank(), 2);
   UM_CHECK_EQ(a.dim(0), a.dim(1));
@@ -416,93 +394,26 @@ Variable L2NormalizeRows(const Variable& a, float eps) {
       "L2NormalizeRows");
 }
 
-namespace {
-
-Variable SoftmaxImpl(const Variable& a, int dim, bool log_space) {
+Variable LogSoftmax(const Variable& a) {
   UM_CHECK_EQ(a.rank(), 2);
-  UM_CHECK(dim == 0 || dim == 1);
-  const int64_t m = a.value().dim(0), n = a.value().dim(1);
-  // dim=1 runs the row kernel straight into the output; dim=0 transposes
-  // into scratch, runs the row kernel, and transposes back (cheap for the
-  // [B, B] logit matrices involved).
-  const Tensor& x = a.value();
+  const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out = Tensor::Empty(a.shape());
-  if (dim == 1) {
-    if (log_space) {
-      LogSoftmaxRows(x, &out);
-    } else {
-      SoftmaxRows(x, &out);
-    }
-  } else {
-    Tensor tr = Tensor::Empty({n, m});
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) tr.at(j, i) = x.at(i, j);
-    }
-    Tensor out_rows = Tensor::Empty({n, m});
-    if (log_space) {
-      LogSoftmaxRows(tr, &out_rows);
-    } else {
-      SoftmaxRows(tr, &out_rows);
-    }
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) out.at(i, j) = out_rows.at(j, i);
-    }
-  }
-
-  Tensor y = out;
-  auto backward = [a, y, dim, m, n, log_space](VarNode& node) {
-    Tensor gin = Tensor::Empty(a.shape());
-    const int64_t rows = dim == 1 ? m : n;
-    const int64_t cols = dim == 1 ? n : m;
-    auto val = [&](const Tensor& t, int64_t r, int64_t c) -> float {
-      return dim == 1 ? t.at(r, c) : t.at(c, r);
-    };
-    auto set = [&](Tensor* t, int64_t r, int64_t c, float v) {
-      if (dim == 1) {
-        t->at(r, c) = v;
-      } else {
-        t->at(c, r) = v;
-      }
-    };
-    // Each (soft) row touches a disjoint slice of gin, so region sharding
-    // is bitwise-exact for both dim values.
-    RegionParallelFor(0, rows, [&](int64_t i) {
-      if (log_space) {
-        // d log_softmax: dx = g - softmax * sum(g).
-        double gsum = 0.0;
-        for (int64_t j = 0; j < cols; ++j) gsum += val(node.grad, i, j);
-        for (int64_t j = 0; j < cols; ++j) {
-          const float p = std::exp(val(y, i, j));
-          set(&gin, i, j,
-              val(node.grad, i, j) - p * static_cast<float>(gsum));
-        }
-      } else {
-        // d softmax: dx = y * (g - sum(y * g)).
-        double dot = 0.0;
-        for (int64_t j = 0; j < cols; ++j) {
-          dot += static_cast<double>(val(y, i, j)) * val(node.grad, i, j);
-        }
-        for (int64_t j = 0; j < cols; ++j) {
-          const float yj = val(y, i, j);
-          set(&gin, i, j,
-              yj * (val(node.grad, i, j) - static_cast<float>(dot)));
-        }
-      }
-    });
-    a.node()->AccumulateGrad(std::move(gin));
-  };
-  return MakeOpVariable(std::move(out), {a}, backward,
-                        log_space ? "LogSoftmax" : "Softmax");
-}
-
-}  // namespace
-
-Variable Softmax(const Variable& a, int dim) {
-  return SoftmaxImpl(a, dim, /*log_space=*/false);
-}
-
-Variable LogSoftmax(const Variable& a, int dim) {
-  return SoftmaxImpl(a, dim, /*log_space=*/true);
+  // Rows are independent, so region sharding is bitwise-exact.
+  RegionParallelFor(0, m, [&](int64_t i) {
+    LogSoftmaxRow(n, a.value().data() + i * n, out.data() + i * n);
+  });
+  Tensor y = out;  // share storage: the backward reads the output
+  return MakeOpVariable(
+      std::move(out), {a},
+      [a, y, m, n](VarNode& node) {
+        Tensor gin = Tensor::Empty(a.shape());
+        RegionParallelFor(0, m, [&](int64_t i) {
+          LogSoftmaxRowGrad(n, y.data() + i * n, node.grad.data() + i * n,
+                            gin.data() + i * n);
+        });
+        a.node()->AccumulateGrad(std::move(gin));
+      },
+      "LogSoftmax");
 }
 
 Variable LayerNorm(const Variable& x, const Variable& gain,

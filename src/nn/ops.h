@@ -47,8 +47,6 @@ Variable MatMul(const Variable& a, const Variable& b, bool trans_a = false,
                 bool trans_b = false);
 /// x + v broadcast over rows: out[i, j] = x[i, j] + v[j]. (Bias add.)
 Variable AddRowVector(const Variable& x, const Variable& v);
-/// x + v broadcast over columns: out[i, j] = x[i, j] + v[i].
-Variable AddColVector(const Variable& x, const Variable& v);
 /// Diagonal of a square matrix -> [n].
 Variable TakeDiagonal(const Variable& a);
 /// Column j of a matrix -> [m].
@@ -58,12 +56,10 @@ Variable RowwiseDot(const Variable& a, const Variable& b);
 /// L2-normalizes each row of [m, d] (Eq. 13's normalization).
 Variable L2NormalizeRows(const Variable& a, float eps = 1e-12f);
 
-/// ----- softmax family -----
-/// Softmax along dim (0: over rows within each column, 1: over columns
-/// within each row) of a 2-D tensor.
-Variable Softmax(const Variable& a, int dim = 1);
-/// Log-softmax along dim of a 2-D tensor.
-Variable LogSoftmax(const Variable& a, int dim = 1);
+/// ----- softmax -----
+/// Log-softmax of each row of a 2-D tensor. A softmax over columns is the
+/// row softmax of Transpose(a).
+Variable LogSoftmax(const Variable& a);
 
 /// ----- normalization -----
 /// Layer normalization over the last dim of [n, d] with learned gain/bias

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 
 #include "src/tensor/tensor_ops.h"
@@ -321,17 +320,7 @@ Variable MaskedSoftmaxSeq(const Variable& scores,
   for (int64_t i = 0; i < b; ++i) {
     const int64_t len = lengths[i];
     if (len == 0) continue;
-    const float* px = scores.value().data() + i * l;
-    float* py = out.data() + i * l;
-    float mx = px[0];
-    for (int64_t t = 1; t < len; ++t) mx = std::max(mx, px[t]);
-    double denom = 0.0;
-    for (int64_t t = 0; t < len; ++t) {
-      py[t] = std::exp(px[t] - mx);
-      denom += py[t];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (int64_t t = 0; t < len; ++t) py[t] *= inv;
+    SoftmaxRow(len, scores.value().data() + i * l, out.data() + i * l);
   }
   Tensor y = out;
   return MakeOpVariable(
@@ -341,16 +330,9 @@ Variable MaskedSoftmaxSeq(const Variable& scores,
         for (size_t i = 0; i < lengths.size(); ++i) {
           const int64_t len = lengths[i];
           if (len == 0) continue;
-          const float* py = y.data() + static_cast<int64_t>(i) * l;
-          const float* pg = node.grad.data() + static_cast<int64_t>(i) * l;
-          float* po = g.data() + static_cast<int64_t>(i) * l;
-          double dot = 0.0;
-          for (int64_t t = 0; t < len; ++t) {
-            dot += static_cast<double>(py[t]) * pg[t];
-          }
-          for (int64_t t = 0; t < len; ++t) {
-            po[t] = py[t] * (pg[t] - static_cast<float>(dot));
-          }
+          const int64_t off = static_cast<int64_t>(i) * l;
+          SoftmaxRowGrad(len, y.data() + off, node.grad.data() + off,
+                         g.data() + off);
         }
         scores.node()->AccumulateGrad(std::move(g));
       },
@@ -407,8 +389,8 @@ Variable MaskedSoftmaxLastDim(const Variable& scores,
   for (int64_t i = 0; i < b; ++i) {
     const int64_t len = std::min<int64_t>(std::max<int64_t>(lengths[i], 0), lk);
     for (int64_t q = 0; q < lq; ++q) {
-      const float* px = scores.value().data() + (i * lq + q) * lk;
-      float* py = out.data() + (i * lq + q) * lk;
+      const int64_t off = (i * lq + q) * lk;
+      float* py = out.data() + off;
       if (len == 0) {
         // Degenerate row: uniform over all keys (downstream pooling masks
         // these rows out anyway).
@@ -416,15 +398,7 @@ Variable MaskedSoftmaxLastDim(const Variable& scores,
         for (int64_t t = 0; t < lk; ++t) py[t] = u;
         continue;
       }
-      float mx = px[0];
-      for (int64_t t = 1; t < len; ++t) mx = std::max(mx, px[t]);
-      double denom = 0.0;
-      for (int64_t t = 0; t < len; ++t) {
-        py[t] = std::exp(px[t] - mx);
-        denom += py[t];
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (int64_t t = 0; t < len; ++t) py[t] *= inv;
+      SoftmaxRow(len, scores.value().data() + off, py);
     }
   }
   Tensor y = out;
@@ -438,16 +412,9 @@ Variable MaskedSoftmaxLastDim(const Variable& scores,
               std::min<int64_t>(std::max<int64_t>(lengths[i], 0), lk);
           if (len == 0) continue;  // uniform rows carry no gradient
           for (int64_t q = 0; q < lq; ++q) {
-            const float* py = y.data() + (i * lq + q) * lk;
-            const float* pg = node.grad.data() + (i * lq + q) * lk;
-            float* po = g.data() + (i * lq + q) * lk;
-            double dot = 0.0;
-            for (int64_t t = 0; t < len; ++t) {
-              dot += static_cast<double>(py[t]) * pg[t];
-            }
-            for (int64_t t = 0; t < len; ++t) {
-              po[t] = py[t] * (pg[t] - static_cast<float>(dot));
-            }
+            const int64_t off = (i * lq + q) * lk;
+            SoftmaxRowGrad(len, y.data() + off, node.grad.data() + off,
+                           g.data() + off);
           }
         }
         scores.node()->AccumulateGrad(std::move(g));

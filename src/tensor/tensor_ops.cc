@@ -105,43 +105,44 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a,
   return c;
 }
 
-void SoftmaxRows(const Tensor& in, Tensor* out) {
-  UM_CONTRACT(in.rank() == 2) << "SoftmaxRows input shape "
-                              << contract::ShapeOf(in);
-  UM_CHECK_SHAPE(in.same_shape(*out), in, *out) << "SoftmaxRows";
-  const int64_t m = in.dim(0), n = in.dim(1);
-  // Rows are independent, so region sharding is bitwise-exact.
-  RegionParallelFor(0, m, [&](int64_t i) {
-    const float* x = in.data() + i * n;
-    float* y = out->data() + i * n;
-    float mx = x[0];
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[j]);
-    double denom = 0.0;
-    for (int64_t j = 0; j < n; ++j) {
-      y[j] = std::exp(x[j] - mx);
-      denom += y[j];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (int64_t j = 0; j < n; ++j) y[j] *= inv;
-  });
+void SoftmaxRow(int64_t n, const float* x, float* y) {
+  UM_CONTRACT(n >= 1) << "SoftmaxRow over " << n << " elements";
+  float mx = x[0];
+  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[j]);
+  double denom = 0.0;
+  for (int64_t j = 0; j < n; ++j) {
+    y[j] = std::exp(x[j] - mx);
+    denom += y[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (int64_t j = 0; j < n; ++j) y[j] *= inv;
 }
 
-void LogSoftmaxRows(const Tensor& in, Tensor* out) {
-  UM_CONTRACT(in.rank() == 2) << "LogSoftmaxRows input shape "
-                              << contract::ShapeOf(in);
-  UM_CHECK_SHAPE(in.same_shape(*out), in, *out) << "LogSoftmaxRows";
-  const int64_t m = in.dim(0), n = in.dim(1);
-  // Rows are independent, so region sharding is bitwise-exact.
-  RegionParallelFor(0, m, [&](int64_t i) {
-    const float* x = in.data() + i * n;
-    float* y = out->data() + i * n;
-    float mx = x[0];
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[j]);
-    double denom = 0.0;
-    for (int64_t j = 0; j < n; ++j) denom += std::exp(x[j] - mx);
-    const float lse = mx + static_cast<float>(std::log(denom));
-    for (int64_t j = 0; j < n; ++j) y[j] = x[j] - lse;
-  });
+void LogSoftmaxRow(int64_t n, const float* x, float* y) {
+  UM_CONTRACT(n >= 1) << "LogSoftmaxRow over " << n << " elements";
+  float mx = x[0];
+  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[j]);
+  double denom = 0.0;
+  for (int64_t j = 0; j < n; ++j) denom += std::exp(x[j] - mx);
+  const float lse = mx + static_cast<float>(std::log(denom));
+  for (int64_t j = 0; j < n; ++j) y[j] = x[j] - lse;
+}
+
+void SoftmaxRowGrad(int64_t n, const float* y, const float* g, float* dx) {
+  UM_CONTRACT(n >= 1) << "SoftmaxRowGrad over " << n << " elements";
+  double dot = 0.0;
+  for (int64_t j = 0; j < n; ++j) dot += static_cast<double>(y[j]) * g[j];
+  const float fdot = static_cast<float>(dot);
+  for (int64_t j = 0; j < n; ++j) dx[j] = y[j] * (g[j] - fdot);
+}
+
+void LogSoftmaxRowGrad(int64_t n, const float* y, const float* g,
+                       float* dx) {
+  UM_CONTRACT(n >= 1) << "LogSoftmaxRowGrad over " << n << " elements";
+  double gsum = 0.0;
+  for (int64_t j = 0; j < n; ++j) gsum += g[j];
+  const float fsum = static_cast<float>(gsum);
+  for (int64_t j = 0; j < n; ++j) dx[j] = g[j] - std::exp(y[j]) * fsum;
 }
 
 void L2NormalizeRows(const Tensor& in, Tensor* out, Tensor* norms, float eps) {
@@ -157,19 +158,6 @@ void L2NormalizeRows(const Tensor& in, Tensor* out, Tensor* norms, float eps) {
         kernels::L2NormalizeF32(n, in.data() + i * n, out->data() + i * n, eps);
     if (norms != nullptr) norms->at(i) = norm;
   });
-}
-
-void ReduceSumRows(const Tensor& in, Tensor* out) {
-  UM_CONTRACT(in.rank() == 2) << "ReduceSumRows input shape "
-                              << contract::ShapeOf(in);
-  const int64_t m = in.dim(0), n = in.dim(1);
-  UM_CHECK_SHAPE(out->numel() == m, in, *out) << "ReduceSumRows";
-  for (int64_t i = 0; i < m; ++i) {
-    const float* x = in.data() + i * n;
-    double s = 0.0;
-    for (int64_t j = 0; j < n; ++j) s += x[j];
-    out->at(i) = static_cast<float>(s);
-  }
 }
 
 void ReduceSumCols(const Tensor& in, Tensor* out) {

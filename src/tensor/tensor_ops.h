@@ -25,19 +25,29 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
 Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
                    bool trans_b = false);
 
-/// Row-wise softmax of a [m, n] matrix (numerically stabilized).
-void SoftmaxRows(const Tensor& in, Tensor* out);
+/// ----- softmax row primitives -----
+/// Every softmax in the library runs these over one row of n >= 1 floats;
+/// the ops own the loop over rows and its threading. Sums are taken in
+/// double.
 
-/// Row-wise log-softmax of a [m, n] matrix.
-void LogSoftmaxRows(const Tensor& in, Tensor* out);
+/// y = exp(x - max x) / sum exp(x - max x).
+void SoftmaxRow(int64_t n, const float* x, float* y);
+
+/// y = x - max x - log sum exp(x - max x).
+void LogSoftmaxRow(int64_t n, const float* x, float* y);
+
+/// Backward of SoftmaxRow with output y and upstream g:
+/// dx = y * (g - <y, g>).
+void SoftmaxRowGrad(int64_t n, const float* y, const float* g, float* dx);
+
+/// Backward of LogSoftmaxRow with output y and upstream g:
+/// dx = g - exp(y) * sum g.
+void LogSoftmaxRowGrad(int64_t n, const float* y, const float* g, float* dx);
 
 /// L2-normalizes each row of a [m, n] matrix. Stores the pre-normalization
 /// row norms (clamped to >= eps) into `norms` ([m]) if non-null.
 void L2NormalizeRows(const Tensor& in, Tensor* out, Tensor* norms,
                      float eps = 1e-12f);
-
-/// out[i] = sum_j in[i, j] for an [m, n] matrix -> [m].
-void ReduceSumRows(const Tensor& in, Tensor* out);
 
 /// out[j] = sum_i in[i, j] for an [m, n] matrix -> [n].
 void ReduceSumCols(const Tensor& in, Tensor* out);

@@ -15,12 +15,14 @@ ScopedParallelRegion::ScopedParallelRegion(ThreadPool* pool)
 
 ScopedParallelRegion::~ScopedParallelRegion() { tls_region_pool = prev_; }
 
-ThreadPool* CurrentParallelPool() { return tls_region_pool; }
+ThreadPool* CurrentParallelPool() {
+  return ThreadPool::InWorkerThread() ? nullptr : tls_region_pool;
+}
 
 void RegionParallelFor(int64_t begin, int64_t end,
                        const std::function<void(int64_t)>& fn,
                        int64_t min_shard) {
-  ThreadPool* pool = tls_region_pool;
+  ThreadPool* pool = CurrentParallelPool();
   if (pool == nullptr || end - begin <= min_shard) {
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
@@ -33,7 +35,7 @@ void RegionParallelForRange(int64_t begin, int64_t end,
                             int64_t min_range) {
   const int64_t n = end - begin;
   if (n <= 0) return;
-  ThreadPool* pool = tls_region_pool;
+  ThreadPool* pool = CurrentParallelPool();
   if (pool == nullptr || n <= min_range) {
     fn(begin, end);
     return;

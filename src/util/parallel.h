@@ -21,8 +21,9 @@ namespace unimatch {
 
 /// Installs `pool` as the current thread's parallel region for the lifetime
 /// of the object (nullptr is a no-op region: everything stays serial).
-/// Regions do not propagate to pool workers, so loops running inside a
-/// scheduled task never re-enter the pool.
+/// Regions do not propagate to pool workers, and a ParallelFor caller
+/// running its own shard sees none either, so loops running inside a shard
+/// never re-enter the pool.
 class ScopedParallelRegion {
  public:
   explicit ScopedParallelRegion(ThreadPool* pool);
@@ -35,7 +36,8 @@ class ScopedParallelRegion {
   ThreadPool* prev_;
 };
 
-/// The pool of the innermost active region on this thread, or nullptr.
+/// The pool of the innermost active region on this thread, or nullptr
+/// (always nullptr while the thread runs a pool shard).
 ThreadPool* CurrentParallelPool();
 
 /// Runs fn(i) for i in [begin, end): serial without a region or below

@@ -8,9 +8,10 @@
 namespace unimatch {
 
 namespace {
-// Set for the lifetime of any pool's worker thread. ParallelFor called from
-// a worker runs its loop inline: Wait()-ing on a pool from one of its own
-// workers would deadlock, and nested parallelism only oversubscribes.
+// Set for the lifetime of any pool's worker thread, and on a ParallelFor
+// caller while it runs its own shard. ParallelFor called from either runs
+// its loop inline: waiting on a pool from one of its own workers would
+// deadlock, and nested parallelism only oversubscribes.
 thread_local bool tls_in_pool_worker = false;
 }  // namespace
 
@@ -64,17 +65,34 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const int64_t shards = std::min<int64_t>(nt, (n + min_shard - 1) / min_shard);
-  const int64_t shard_size = (n + shards - 1) / shards;
-  for (int64_t s = 0; s < shards; ++s) {
+  const int64_t max_shards =
+      std::min<int64_t>(nt, (n + min_shard - 1) / min_shard);
+  const int64_t shard_size = (n + max_shards - 1) / max_shards;
+  const int64_t shards = (n + shard_size - 1) / shard_size;  // none empty
+  const auto run_shard = [&](int64_t s) {
     const int64_t lo = begin + s * shard_size;
     const int64_t hi = std::min(end, lo + shard_size);
-    if (lo >= hi) break;
-    Schedule([lo, hi, &fn] {
-      for (int64_t i = lo; i < hi; ++i) fn(i);
+    for (int64_t i = lo; i < hi; ++i) fn(i);
+  };
+  // This call's own count of unfinished pool shards. A shard's last touch
+  // of it and of `done` happens under mu_, so once the caller sees zero
+  // (also under mu_) no worker refers to this frame again.
+  int64_t remaining = shards - 1;
+  CondVar done;
+  for (int64_t s = 1; s < shards; ++s) {
+    Schedule([this, s, &run_shard, &remaining, &done] {
+      run_shard(s);
+      MutexLock lock(&mu_);
+      if (--remaining == 0) done.NotifyOne();
     });
   }
-  Wait();
+  // The caller runs shard 0 as a worker would: nested ParallelFor calls
+  // inside it run inline.
+  tls_in_pool_worker = true;
+  run_shard(0);
+  tls_in_pool_worker = false;
+  MutexLock lock(&mu_);
+  while (remaining != 0) done.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {

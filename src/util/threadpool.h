@@ -38,8 +38,9 @@ class ThreadPool {
   void Wait() UM_EXCLUDES(mu_);
 
   /// Runs fn(i) for i in [begin, end), splitting the range into contiguous
-  /// shards across the pool, and blocks until done. Falls back to a serial
-  /// loop for tiny ranges.
+  /// shards. The caller runs the first shard and the pool the rest; the
+  /// call returns once its own shards are done, whatever else the pool is
+  /// running. Falls back to a serial loop for tiny ranges.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t)>& fn,
                    int64_t min_shard = 256) UM_EXCLUDES(mu_);
@@ -47,8 +48,9 @@ class ThreadPool {
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool* Global();
 
-  /// True on any pool's worker thread. ParallelFor uses this to run nested
-  /// invocations inline instead of deadlocking on Wait().
+  /// True on any pool's worker thread, and on a ParallelFor caller while it
+  /// runs its own shard. ParallelFor uses this to run nested invocations
+  /// inline instead of deadlocking on the pool.
   static bool InWorkerThread();
 
  private:

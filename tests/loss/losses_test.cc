@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+
+#include "tests/nn/gradcheck.h"
 
 namespace unimatch::loss {
+
+// Names each NceFamilyGradTest case after its Table II setting.
+void PrintTo(LossKind kind, std::ostream* os) { *os << LossKindToString(kind); }
+
 namespace {
 
 TEST(LossKindTest, StringRoundtrip) {
@@ -114,6 +121,33 @@ TEST(NceFamilyLossTest, BiasCorrectionShiftsLogits) {
   EXPECT_NEAR(with_bias, manual, 1e-5);
 }
 
+TEST(NceFamilyLossTest, UserBiasCorrectionShiftsRows) {
+  // With delta_beta, adding a constant c to log_pu of one user changes the
+  // loss exactly as subtracting c from that user's row of scores.
+  Rng rng(4);
+  Tensor base = Tensor::Randn({3, 3}, 1.0f, &rng);
+  Tensor log_pu({3}, {-1.0f, -2.0f, -3.0f});
+  Tensor log_pi({3});
+  const float c = 0.75f;
+
+  Tensor raised_pu = log_pu.Clone();
+  raised_pu.at(1) += c;
+  nn::Variable s1(base.Clone(), true);
+  const float with_bias =
+      NceFamilyLoss(s1, raised_pu, log_pi, SettingsFor(LossKind::kColBcNce))
+          .value()
+          .item();
+
+  Tensor shifted = base.Clone();
+  for (int64_t col = 0; col < 3; ++col) shifted.at(1, col) -= c;
+  nn::Variable s2(shifted, true);
+  const float manual =
+      NceFamilyLoss(s2, log_pu, log_pi, SettingsFor(LossKind::kColBcNce))
+          .value()
+          .item();
+  EXPECT_NEAR(with_bias, manual, 1e-5);
+}
+
 TEST(NceFamilyLossTest, PerfectDiagonalGivesLowLoss) {
   Tensor strong({3, 3});
   for (int i = 0; i < 3; ++i) strong.at(i, i) = 20.0f;
@@ -137,6 +171,26 @@ TEST(NceFamilyLossTest, GradientFlowsToScores) {
   // Diagonal gradients must be negative (pushing positives up).
   for (int i = 0; i < 4; ++i) EXPECT_LT(scores.grad().at(i, i), 0.0f);
 }
+
+// dL/dS against central differences under every Table II setting, with
+// nonzero log-marginals so both bias corrections enter the gradient.
+class NceFamilyGradTest : public ::testing::TestWithParam<LossKind> {};
+
+TEST_P(NceFamilyGradTest, MatchesFiniteDifferences) {
+  Rng rng(40);
+  nn::Variable scores(Tensor::Randn({4, 4}, 0.8f, &rng), true);
+  Tensor log_pu({4}, {-1.0f, -2.5f, -0.5f, -3.0f});
+  Tensor log_pi({4}, {-2.0f, -0.7f, -1.5f, -4.0f});
+  nn::CheckGradients({scores}, [&] {
+    return NceFamilyLoss(scores, log_pu, log_pi, SettingsFor(GetParam()));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableII, NceFamilyGradTest,
+    ::testing::Values(LossKind::kInfoNce, LossKind::kSimClr,
+                      LossKind::kRowBcNce, LossKind::kColBcNce,
+                      LossKind::kBbcNce));
 
 TEST(SampledSoftmaxLossTest, HandComputedNoCorrection) {
   nn::Variable pos(Tensor({1}, {2.0f}), true);

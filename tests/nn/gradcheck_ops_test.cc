@@ -124,12 +124,6 @@ TEST(GradCheckOps, AddRowVector) {
   CheckGradients({x, v}, [&] { return ToScalar(AddRowVector(x, v)); });
 }
 
-TEST(GradCheckOps, AddColVector) {
-  auto x = Param({4, 3}, 25);
-  auto v = Param({4}, 26);
-  CheckGradients({x, v}, [&] { return ToScalar(AddColVector(x, v)); });
-}
-
 TEST(GradCheckOps, TakeDiagonal) {
   auto a = Param({5, 5}, 27);
   CheckGradients({a}, [&] { return ToScalar(TakeDiagonal(a)); });
@@ -150,21 +144,10 @@ TEST(GradCheckOps, L2NormalizeRows) {
   CheckGradients({a}, [&] { return ToScalar(L2NormalizeRows(a)); });
 }
 
-class SoftmaxGradTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SoftmaxGradTest, SoftmaxBothDims) {
-  auto a = Param({4, 6}, 32);
-  const int dim = GetParam();
-  CheckGradients({a}, [&] { return ToScalar(Softmax(a, dim)); });
-}
-
-TEST_P(SoftmaxGradTest, LogSoftmaxBothDims) {
+TEST(GradCheckOps, LogSoftmax) {
   auto a = Param({4, 6}, 33);
-  const int dim = GetParam();
-  CheckGradients({a}, [&] { return ToScalar(LogSoftmax(a, dim)); });
+  CheckGradients({a}, [&] { return ToScalar(LogSoftmax(a)); });
 }
-
-INSTANTIATE_TEST_SUITE_P(Dims, SoftmaxGradTest, ::testing::Values(0, 1));
 
 TEST(GradCheckOps, LayerNorm) {
   auto x = Param({3, 6}, 34, 1.0f);

@@ -61,6 +61,11 @@ TEST(ContractDeathTest, MismatchedBatchMatMulDies) {
   EXPECT_DEATH(BatchMatMul(a, b), "Contract violated.*BatchMatMul");
 }
 
+TEST(ContractDeathTest, EmptySoftmaxRowDies) {
+  float x = 0.0f, y = 0.0f;
+  EXPECT_DEATH(SoftmaxRow(0, &x, &y), "Contract violated.*SoftmaxRow over 0");
+}
+
 TEST(ContractDeathTest, ElementwiseAddShapeMismatchDies) {
   nn::Variable a(Tensor({2, 3}));
   nn::Variable b(Tensor({3, 2}));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace unimatch {
@@ -122,6 +124,34 @@ TEST(ThreadPoolTest, ConcurrentParallelForFromMultipleThreads) {
   driver_b.join();
   EXPECT_EQ(sum_a.load(), 2000LL * 1999 / 2);
   EXPECT_EQ(sum_b.load(), 3000LL * 2999 / 2);
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnShards) {
+  // An unrelated task holds one worker until released. ParallelFor must
+  // return while it still runs. The blocker gives up after 10 s, so a
+  // ParallelFor that waits for the whole pool fails here instead of
+  // hanging.
+  ThreadPool pool(4);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocker_done{false};
+  pool.Schedule([&] {
+    started.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    blocker_done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::vector<std::atomic<int>> touched(4096);
+  pool.ParallelFor(0, 4096, [&](int64_t i) { touched[i].fetch_add(1); },
+                   /*min_shard=*/16);
+  EXPECT_FALSE(blocker_done.load());
+  release.store(true);
+  pool.Wait();
+  for (auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsOutstandingTasks) {
