@@ -159,14 +159,16 @@ int CmdTrain(const ArgParser& args) {
   return 0;
 }
 
-// Shared engine bring-up for recommend/target/eval: loads data, fits (or
-// restores a checkpoint to skip re-optimizing embeddings).
+// Shared engine bring-up for recommend/target/eval: trains on the data,
+// or with --ckpt fits the architecture with no training epochs and
+// restores every parameter from the checkpoint.
 Result<std::unique_ptr<core::UniMatchEngine>> BringUp(
     const ArgParser& args, const data::LoadedLog& loaded) {
-  UNIMATCH_ASSIGN_OR_RETURN(const core::EngineConfig config,
+  UNIMATCH_ASSIGN_OR_RETURN(core::EngineConfig config,
                             EngineConfigFromArgs(args));
-  auto engine = std::make_unique<core::UniMatchEngine>(config);
   const std::string ckpt = args.GetString("ckpt");
+  if (!ckpt.empty()) config.train.epochs_per_month = 0;
+  auto engine = std::make_unique<core::UniMatchEngine>(config);
   UNIMATCH_RETURN_IF_ERROR(engine->Fit(loaded.log));
   if (!ckpt.empty()) {
     UNIMATCH_RETURN_IF_ERROR(engine->LoadCheckpoint(ckpt));

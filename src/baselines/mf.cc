@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/data/batcher.h"
 #include "src/nn/init.h"
 #include "src/nn/ops.h"
 #include "src/nn/optimizer.h"
@@ -28,35 +29,24 @@ Status MatrixFactorization::Train(const data::DatasetSplits& splits) {
   }
   Rng rng(config_.seed + 1);
   nn::Adam opt(Parameters(), config_.learning_rate);
-  auto indices = splits.train.AllIndices();
   const auto settings = loss::SettingsFor(config_.loss);
-
+  // MF reads only the batch's ids and log-marginals, so the history window
+  // is one item wide.
+  data::BatchIterator it(&splits.train, &splits.train_marginals,
+                         splits.train.AllIndices(), config_.batch_size,
+                         /*max_seq_len=*/1, &rng);
+  data::Batch batch;
   for (int e = 0; e < config_.epochs; ++e) {
-    rng.Shuffle(&indices);
-    for (size_t begin = 0; begin < indices.size();
-         begin += config_.batch_size) {
-      const size_t end =
-          std::min(indices.size(), begin + config_.batch_size);
-      const int64_t b = static_cast<int64_t>(end - begin);
-      if (b < 2) break;
-      std::vector<int64_t> users(b), items(b);
-      Tensor log_pu({b}), log_pi({b});
-      for (int64_t r = 0; r < b; ++r) {
-        const data::Sample& s = splits.train[indices[begin + r]];
-        users[r] = s.user;
-        items[r] = s.target;
-        log_pu.at(r) =
-            static_cast<float>(splits.train_marginals.log_pu(s.user));
-        log_pi.at(r) =
-            static_cast<float>(splits.train_marginals.log_pi(s.target));
-      }
-      nn::Variable u =
-          nn::L2NormalizeRows(nn::EmbeddingLookup(user_embeddings_, users));
-      nn::Variable i =
-          nn::L2NormalizeRows(nn::EmbeddingLookup(item_embeddings_, items));
+    if (e > 0) it.Reset();
+    while (it.Next(&batch)) {
+      nn::Variable u = nn::L2NormalizeRows(
+          nn::EmbeddingLookup(user_embeddings_, batch.users));
+      nn::Variable i = nn::L2NormalizeRows(
+          nn::EmbeddingLookup(item_embeddings_, batch.targets));
       nn::Variable scores = nn::ScalarMul(nn::MatMul(u, i, false, true),
                                           1.0f / config_.temperature);
-      nn::Variable l = loss::NceFamilyLoss(scores, log_pu, log_pi, settings);
+      nn::Variable l =
+          loss::NceFamilyLoss(scores, batch.log_pu, batch.log_pi, settings);
       nn::Backward(l);
       opt.Step();
       opt.ZeroGrad();

@@ -73,14 +73,20 @@ void BatchIterator::Reset() {
   rng_->Shuffle(&indices_);
 }
 
-bool BatchIterator::Next(Batch* out) {
+bool BatchIterator::NextChunk() {
   const int64_t n = static_cast<int64_t>(indices_.size());
   if (cursor_ >= n) return false;
   const int64_t take = std::min<int64_t>(batch_size_, n - cursor_);
   if (take < min_batch_) return false;
-  idx_.assign(indices_.begin() + cursor_, indices_.begin() + cursor_ + take);
+  chunk_.assign(indices_.begin() + cursor_,
+                indices_.begin() + cursor_ + take);
   cursor_ += take;
-  AssembleBatchInto(*samples_, idx_, *marginals_, max_seq_len_, out);
+  return true;
+}
+
+bool BatchIterator::Next(Batch* out) {
+  if (!NextChunk()) return false;
+  AssembleBatchInto(*samples_, chunk_, *marginals_, max_seq_len_, out);
   return true;
 }
 

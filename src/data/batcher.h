@@ -54,15 +54,24 @@ void EnsureVectorTensor(Tensor* t, int64_t n);
 }  // namespace internal
 
 /// Iterates one epoch over a fixed index set in shuffled order, yielding
-/// consecutive batches. The trailing partial batch is dropped when smaller
-/// than `min_batch` (in-batch losses degenerate on tiny batches).
+/// consecutive chunks of sample indices. The trailing partial chunk is
+/// dropped when smaller than `min_batch` (in-batch losses degenerate on
+/// tiny batches). Only the constructor and Reset draw from `rng` (the
+/// shuffle), so iterating is RNG-free.
 class BatchIterator {
  public:
   BatchIterator(const SampleSet* samples, const Marginals* marginals,
                 std::vector<int64_t> indices, int batch_size, int max_seq_len,
                 Rng* rng, int min_batch = 2);
 
-  /// Returns false when the epoch is exhausted.
+  /// Advances to the next chunk; returns false when the epoch is exhausted.
+  bool NextChunk();
+
+  /// The sample indices of the current chunk, once NextChunk returned true.
+  const std::vector<int64_t>& chunk() const { return chunk_; }
+
+  /// NextChunk, then AssembleBatchInto over the chunk. Returns false when
+  /// the epoch is exhausted.
   bool Next(Batch* out);
 
   /// Restarts a new (reshuffled) epoch.
@@ -79,8 +88,8 @@ class BatchIterator {
   int min_batch_;
   Rng* rng_;
   int64_t cursor_ = 0;
-  /// Per-batch index workspace, reused across Next calls.
-  std::vector<int64_t> idx_;
+  /// The current chunk, reused across NextChunk calls.
+  std::vector<int64_t> chunk_;
 };
 
 }  // namespace unimatch::data

@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/obs/obs.h"
 #include "src/tensor/kernels.h"
@@ -10,6 +12,87 @@
 #include "src/util/timer.h"
 
 namespace unimatch::eval {
+
+namespace {
+
+// Ranks every case's candidates by score(anchor, candidate), positive
+// first. Cases are independent, so each is scored into its own slot on the
+// shared pool, then folded serially in case order, so accumulator sums and
+// output lists match a serial pass exactly. `topn` and `ndcg` are optional.
+template <typename Score>
+TaskResult RunTask(const std::vector<EvalCase>& cases, int top_n,
+                   const Score& score, std::vector<std::vector<int64_t>>* topn,
+                   std::vector<double>* ndcg) {
+  struct CaseOut {
+    double recall = 0.0;
+    double ndcg = 0.0;
+    std::vector<int64_t> top;
+  };
+  std::vector<CaseOut> outs(cases.size());
+  ThreadPool::Global()->ParallelFor(
+      0, static_cast<int64_t>(cases.size()),
+      [&](int64_t k) {
+        const EvalCase& c = cases[k];
+        std::vector<float> scores;
+        scores.reserve(c.negatives.size() + 1);
+        scores.push_back(score(c.anchor, c.positive));
+        for (int64_t candidate : c.negatives) {
+          scores.push_back(score(c.anchor, candidate));
+        }
+        std::vector<bool> pos(scores.size(), false);
+        pos[0] = true;
+        CaseOut& slot = outs[k];
+        slot.ndcg = NdcgAtN(scores, pos, top_n);
+        slot.recall = RecallAtN(scores, pos, top_n);
+        if (topn != nullptr) {
+          for (int64_t idx : TopN(scores, top_n)) {
+            slot.top.push_back(idx == 0 ? c.positive : c.negatives[idx - 1]);
+          }
+        }
+      },
+      /*min_shard=*/8);
+
+  MetricAccumulator acc;
+  for (CaseOut& slot : outs) {
+    acc.Add(slot.recall, slot.ndcg);
+    if (ndcg != nullptr) ndcg->push_back(slot.ndcg);
+    if (topn != nullptr) topn->push_back(std::move(slot.top));
+  }
+  return {acc.recall(), acc.ndcg(), acc.count};
+}
+
+// IR, then UT, with score(user, item): IR anchors are users, UT anchors
+// are items.
+template <typename Score>
+EvalResult RunTasks(const EvalProtocol& protocol, const Score& score,
+                    RetrievedLists* retrieved, PerCaseMetrics* per_case) {
+  UM_GAUGE_SET("eval.parallel.workers",
+               static_cast<double>(ThreadPool::Global()->num_threads()));
+  if (retrieved != nullptr) {
+    retrieved->ir_topn.clear();
+    retrieved->ut_topn.clear();
+  }
+  if (per_case != nullptr) {
+    per_case->ir_ndcg.clear();
+    per_case->ut_ndcg.clear();
+  }
+  const int top_n = protocol.config().top_n;
+  EvalResult out;
+  out.ir = RunTask(protocol.ir_cases(), top_n, score,
+                   retrieved != nullptr ? &retrieved->ir_topn : nullptr,
+                   per_case != nullptr ? &per_case->ir_ndcg : nullptr);
+  out.ut = RunTask(
+      protocol.ut_cases(), top_n,
+      [&](int64_t item, int64_t user) { return score(user, item); },
+      retrieved != nullptr ? &retrieved->ut_topn : nullptr,
+      per_case != nullptr ? &per_case->ut_ndcg : nullptr);
+  UM_COUNTER_ADD("eval.parallel.cases", out.ir.num_cases + out.ut.num_cases);
+  UM_COUNTER_ADD("eval.ir.cases", out.ir.num_cases);
+  UM_COUNTER_ADD("eval.ut.cases", out.ut.num_cases);
+  return out;
+}
+
+}  // namespace
 
 Evaluator::Evaluator(const data::DatasetSplits* splits,
                      const EvalProtocol* protocol)
@@ -22,14 +105,13 @@ EvalResult Evaluator::Evaluate(const model::TwoTowerModel& model,
   UM_SCOPED_TIMER("eval.evaluate.ms");
   UM_COUNTER_INC("eval.evaluations");
   const int64_t d = model.config().embedding_dim;
-  const int top_n = protocol_->config().top_n;
 
   // Users needed by either task.
   std::unordered_set<data::UserId> needed;
-  for (const auto& c : protocol_->ir_cases()) needed.insert(c.user);
+  for (const auto& c : protocol_->ir_cases()) needed.insert(c.anchor);
   for (const auto& c : protocol_->ut_cases()) {
-    needed.insert(c.positive_user);
-    for (auto u : c.negative_users) needed.insert(u);
+    needed.insert(c.positive);
+    for (auto u : c.negatives) needed.insert(u);
   }
 
   // Compact index for needed users, embeddings computed in one pass.
@@ -46,122 +128,15 @@ EvalResult Evaluator::Evaluate(const model::TwoTowerModel& model,
   const Tensor item_emb = model.InferItemEmbeddings();
   UM_HISTOGRAM_OBSERVE("eval.embed.ms", embed_timer.ElapsedMillis());
 
-  auto dot = [&](const float* a, const float* b) {
-    return kernels::DotF32(a, b, d);
-  };
-  // Zero-copy row views into the embedding matrices (bounds-checked,
-  // unlike the raw pointer arithmetic they replace).
-  auto uvec = [&](data::UserId u) {
-    return user_emb.Row(user_slot.at(u)).data();
-  };
-  auto ivec = [&](data::ItemId i) { return item_emb.Row(i).data(); };
-
-  EvalResult out;
-  if (retrieved != nullptr) {
-    retrieved->ir_topn.clear();
-    retrieved->ut_topn.clear();
-  }
-  if (per_case != nullptr) {
-    per_case->ir_ndcg.clear();
-    per_case->ut_ndcg.clear();
-  }
-
-  // Cases are independent given the (read-only) embedding matrices: score
-  // each into its own slot on the shared pool, then fold serially in case
-  // order so accumulator sums and output lists match the serial path
-  // exactly.
-  struct CaseOut {
-    double recall = 0.0;
-    double ndcg = 0.0;
-    std::vector<int64_t> top;  // candidate ids (UserId/ItemId share a rep)
-  };
-  const bool want_top = retrieved != nullptr;
-  ThreadPool* pool = ThreadPool::Global();
-  UM_GAUGE_SET("eval.parallel.workers",
-               static_cast<double>(pool->num_threads()));
-
-  const auto& ir_cases = protocol_->ir_cases();
-  std::vector<CaseOut> ir_out(ir_cases.size());
-  pool->ParallelFor(
-      0, static_cast<int64_t>(ir_cases.size()),
-      [&](int64_t k) {
-        const auto& c = ir_cases[k];
-        std::vector<float> scores;
-        std::vector<bool> pos;
-        std::vector<data::ItemId> cands;
-        scores.reserve(c.negatives.size() + 1);
-        cands.push_back(c.positive);
-        scores.push_back(dot(uvec(c.user), ivec(c.positive)));
-        pos.push_back(true);
-        for (auto i : c.negatives) {
-          cands.push_back(i);
-          scores.push_back(dot(uvec(c.user), ivec(i)));
-          pos.push_back(false);
-        }
-        CaseOut& slot = ir_out[k];
-        slot.ndcg = NdcgAtN(scores, pos, top_n);
-        slot.recall = RecallAtN(scores, pos, top_n);
-        if (want_top) {
-          for (int64_t idx : TopN(scores, top_n)) {
-            slot.top.push_back(cands[idx]);
-          }
-        }
+  // Zero-copy, bounds-checked row views into the (read-only) embedding
+  // matrices.
+  return RunTasks(
+      *protocol_,
+      [&](data::UserId u, data::ItemId i) {
+        return kernels::DotF32(user_emb.Row(user_slot.at(u)).data(),
+                               item_emb.Row(i).data(), d);
       },
-      /*min_shard=*/8);
-
-  MetricAccumulator ir_acc;
-  for (CaseOut& slot : ir_out) {
-    ir_acc.Add(slot.recall, slot.ndcg);
-    if (per_case != nullptr) per_case->ir_ndcg.push_back(slot.ndcg);
-    if (retrieved != nullptr) {
-      retrieved->ir_topn.push_back(std::move(slot.top));
-    }
-  }
-  out.ir = {ir_acc.recall(), ir_acc.ndcg(), ir_acc.count};
-
-  const auto& ut_cases = protocol_->ut_cases();
-  std::vector<CaseOut> ut_out(ut_cases.size());
-  pool->ParallelFor(
-      0, static_cast<int64_t>(ut_cases.size()),
-      [&](int64_t k) {
-        const auto& c = ut_cases[k];
-        std::vector<float> scores;
-        std::vector<bool> pos;
-        std::vector<data::UserId> cands;
-        scores.reserve(c.negative_users.size() + 1);
-        cands.push_back(c.positive_user);
-        scores.push_back(dot(uvec(c.positive_user), ivec(c.item)));
-        pos.push_back(true);
-        for (auto u : c.negative_users) {
-          cands.push_back(u);
-          scores.push_back(dot(uvec(u), ivec(c.item)));
-          pos.push_back(false);
-        }
-        CaseOut& slot = ut_out[k];
-        slot.ndcg = NdcgAtN(scores, pos, top_n);
-        slot.recall = RecallAtN(scores, pos, top_n);
-        if (want_top) {
-          for (int64_t idx : TopN(scores, top_n)) {
-            slot.top.push_back(cands[idx]);
-          }
-        }
-      },
-      /*min_shard=*/8);
-
-  MetricAccumulator ut_acc;
-  for (CaseOut& slot : ut_out) {
-    ut_acc.Add(slot.recall, slot.ndcg);
-    if (per_case != nullptr) per_case->ut_ndcg.push_back(slot.ndcg);
-    if (retrieved != nullptr) {
-      retrieved->ut_topn.push_back(std::move(slot.top));
-    }
-  }
-  out.ut = {ut_acc.recall(), ut_acc.ndcg(), ut_acc.count};
-  UM_COUNTER_ADD("eval.parallel.cases",
-                 static_cast<int64_t>(ir_out.size() + ut_out.size()));
-  UM_COUNTER_ADD("eval.ir.cases", ir_acc.count);
-  UM_COUNTER_ADD("eval.ut.cases", ut_acc.count);
-  return out;
+      retrieved, per_case);
 }
 
 EvalResult Evaluator::EvaluateScorer(
@@ -169,57 +144,12 @@ EvalResult Evaluator::EvaluateScorer(
     RetrievedLists* retrieved) const {
   UM_SCOPED_TIMER("eval.scorer.ms");
   UM_COUNTER_INC("eval.scorer.evaluations");
-  const int top_n = protocol_->config().top_n;
-  EvalResult out;
-  if (retrieved != nullptr) {
-    retrieved->ir_topn.clear();
-    retrieved->ut_topn.clear();
-  }
-
-  MetricAccumulator ir_acc;
-  for (const auto& c : protocol_->ir_cases()) {
-    std::vector<float> scores;
-    std::vector<bool> pos;
-    std::vector<data::ItemId> cands;
-    cands.push_back(c.positive);
-    scores.push_back(static_cast<float>(score(c.user, c.positive)));
-    pos.push_back(true);
-    for (auto i : c.negatives) {
-      cands.push_back(i);
-      scores.push_back(static_cast<float>(score(c.user, i)));
-      pos.push_back(false);
-    }
-    ir_acc.Add(RecallAtN(scores, pos, top_n), NdcgAtN(scores, pos, top_n));
-    if (retrieved != nullptr) {
-      std::vector<data::ItemId> top;
-      for (int64_t idx : TopN(scores, top_n)) top.push_back(cands[idx]);
-      retrieved->ir_topn.push_back(std::move(top));
-    }
-  }
-  out.ir = {ir_acc.recall(), ir_acc.ndcg(), ir_acc.count};
-
-  MetricAccumulator ut_acc;
-  for (const auto& c : protocol_->ut_cases()) {
-    std::vector<float> scores;
-    std::vector<bool> pos;
-    std::vector<data::UserId> cands;
-    cands.push_back(c.positive_user);
-    scores.push_back(static_cast<float>(score(c.positive_user, c.item)));
-    pos.push_back(true);
-    for (auto u : c.negative_users) {
-      cands.push_back(u);
-      scores.push_back(static_cast<float>(score(u, c.item)));
-      pos.push_back(false);
-    }
-    ut_acc.Add(RecallAtN(scores, pos, top_n), NdcgAtN(scores, pos, top_n));
-    if (retrieved != nullptr) {
-      std::vector<data::UserId> top;
-      for (int64_t idx : TopN(scores, top_n)) top.push_back(cands[idx]);
-      retrieved->ut_topn.push_back(std::move(top));
-    }
-  }
-  out.ut = {ut_acc.recall(), ut_acc.ndcg(), ut_acc.count};
-  return out;
+  return RunTasks(
+      *protocol_,
+      [&](data::UserId u, data::ItemId i) {
+        return static_cast<float>(score(u, i));
+      },
+      retrieved, /*per_case=*/nullptr);
 }
 
 }  // namespace unimatch::eval

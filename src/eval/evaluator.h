@@ -53,7 +53,9 @@ class Evaluator {
 
   /// Runs the same protocol against an arbitrary scoring function
   /// score(user, item) — used for the non-neural baselines (popularity,
-  /// item-kNN, classic MF).
+  /// item-kNN, classic MF). `score` is called from the shared pool's
+  /// threads, so it must be safe to call concurrently (a read-only scorer
+  /// is).
   EvalResult EvaluateScorer(
       const std::function<double(data::UserId, data::ItemId)>& score,
       RetrievedLists* retrieved = nullptr) const;

@@ -71,18 +71,6 @@ double NdcgAtN(const std::vector<float>& scores,
   return dcg / ideal;
 }
 
-int64_t RankOf(const std::vector<float>& scores, int64_t index) {
-  int64_t rank = 0;
-  for (int64_t i = 0; i < static_cast<int64_t>(scores.size()); ++i) {
-    if (i == index) continue;
-    if (scores[i] > scores[index] ||
-        (scores[i] == scores[index] && i < index)) {
-      ++rank;
-    }
-  }
-  return rank;
-}
-
 std::vector<int64_t> TopN(const std::vector<float>& scores, int n) {
   UM_CONTRACT(n > 0) << "TopN cutoff, got n=" << n;
   return TopIndices(scores, n);

@@ -18,10 +18,6 @@ double RecallAtN(const std::vector<float>& scores,
 double NdcgAtN(const std::vector<float>& scores,
                const std::vector<bool>& is_positive, int n);
 
-/// Zero-based rank of `index` within scores (descending; ties broken by
-/// lower index first, which is deterministic across platforms).
-int64_t RankOf(const std::vector<float>& scores, int64_t index);
-
 /// Indices of the top-n scores, descending.
 std::vector<int64_t> TopN(const std::vector<float>& scores, int n);
 

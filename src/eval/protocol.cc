@@ -2,10 +2,58 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/util/logging.h"
 
 namespace unimatch::eval {
+
+namespace {
+
+// One case per anchor, from the first (anchor, candidate) pair whose anchor
+// and candidate are both pooled. Its negatives are drawn from
+// `candidate_pool` with `rng`, skipping the anchor's partners in `pairs`
+// (false-negative exclusion); an anchor with too few eligible candidates
+// for rejection sampling gets no case.
+std::vector<EvalCase> BuildCases(
+    const std::vector<std::pair<int64_t, int64_t>>& pairs,
+    const std::vector<int64_t>& anchor_pool,
+    const std::vector<int64_t>& candidate_pool, int num_negatives,
+    Rng* rng) {
+  const std::unordered_set<int64_t> anchors(anchor_pool.begin(),
+                                            anchor_pool.end());
+  const std::unordered_set<int64_t> candidates(candidate_pool.begin(),
+                                               candidate_pool.end());
+  std::unordered_map<int64_t, std::unordered_set<int64_t>> partners;
+  for (const auto& [anchor, candidate] : pairs) {
+    partners[anchor].insert(candidate);
+  }
+  std::vector<EvalCase> cases;
+  std::unordered_set<int64_t> done;
+  for (const auto& [anchor, candidate] : pairs) {
+    if (done.count(anchor)) continue;
+    if (!anchors.count(anchor)) continue;
+    if (!candidates.count(candidate)) continue;
+    done.insert(anchor);
+    const auto& excluded = partners[anchor];
+    if (candidate_pool.size() <=
+        excluded.size() + static_cast<size_t>(num_negatives)) {
+      continue;
+    }
+    EvalCase c;
+    c.anchor = anchor;
+    c.positive = candidate;
+    while (static_cast<int>(c.negatives.size()) < num_negatives) {
+      const int64_t cand = candidate_pool[rng->Uniform(candidate_pool.size())];
+      if (cand == c.positive || excluded.count(cand)) continue;
+      c.negatives.push_back(cand);
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+}  // namespace
 
 EvalProtocol EvalProtocol::Build(const data::DatasetSplits& splits,
                                  const ProtocolConfig& config) {
@@ -34,68 +82,17 @@ EvalProtocol EvalProtocol::Build(const data::DatasetSplits& splits,
     return p;
   }
 
-  std::unordered_set<data::ItemId> pool_items(p.item_pool_.begin(),
-                                              p.item_pool_.end());
-  std::unordered_set<data::UserId> pool_users(p.user_pool_.begin(),
-                                              p.user_pool_.end());
-
-  // Test-month purchases per user and per item (for false-negative
-  // exclusion).
-  std::unordered_map<data::UserId, std::unordered_set<data::ItemId>> bought;
-  std::unordered_map<data::ItemId, std::unordered_set<data::UserId>> buyers;
+  // The test month's purchases as (user, item) pairs; UT reads them as
+  // (item, user). IR draws its negatives first, from the one seeded Rng.
+  std::vector<std::pair<int64_t, int64_t>> user_item, item_user;
   for (const auto& s : splits.test.samples()) {
-    bought[s.user].insert(s.target);
-    buyers[s.target].insert(s.user);
+    user_item.emplace_back(s.user, s.target);
+    item_user.emplace_back(s.target, s.user);
   }
-
-  // --- IR: one case per qualifying test user (first qualifying target) ---
-  std::unordered_set<data::UserId> ir_done;
-  for (const auto& s : splits.test.samples()) {
-    if (ir_done.count(s.user)) continue;
-    if (!pool_users.count(s.user)) continue;
-    if (!pool_items.count(s.target)) continue;
-    ir_done.insert(s.user);
-    const auto& user_bought = bought[s.user];
-    // Rejection sampling must have enough eligible candidates.
-    if (p.item_pool_.size() <=
-        user_bought.size() + static_cast<size_t>(config.num_negatives)) {
-      continue;
-    }
-    IrCase c;
-    c.user = s.user;
-    c.positive = s.target;
-    while (static_cast<int>(c.negatives.size()) < config.num_negatives) {
-      const data::ItemId cand =
-          p.item_pool_[rng.Uniform(p.item_pool_.size())];
-      if (cand == c.positive || user_bought.count(cand)) continue;
-      c.negatives.push_back(cand);
-    }
-    p.ir_cases_.push_back(std::move(c));
-  }
-
-  // --- UT: one case per qualifying test item (first qualifying buyer) ---
-  std::unordered_set<data::ItemId> ut_done;
-  for (const auto& s : splits.test.samples()) {
-    if (ut_done.count(s.target)) continue;
-    if (!pool_items.count(s.target)) continue;
-    if (!pool_users.count(s.user)) continue;
-    ut_done.insert(s.target);
-    const auto& item_buyers = buyers[s.target];
-    if (p.user_pool_.size() <=
-        item_buyers.size() + static_cast<size_t>(config.num_negatives)) {
-      continue;
-    }
-    UtCase c;
-    c.item = s.target;
-    c.positive_user = s.user;
-    while (static_cast<int>(c.negative_users.size()) < config.num_negatives) {
-      const data::UserId cand =
-          p.user_pool_[rng.Uniform(p.user_pool_.size())];
-      if (cand == c.positive_user || item_buyers.count(cand)) continue;
-      c.negative_users.push_back(cand);
-    }
-    p.ut_cases_.push_back(std::move(c));
-  }
+  p.ir_cases_ = BuildCases(user_item, p.user_pool_, p.item_pool_,
+                           config.num_negatives, &rng);
+  p.ut_cases_ = BuildCases(item_user, p.item_pool_, p.user_pool_,
+                           config.num_negatives, &rng);
   return p;
 }
 

@@ -1,11 +1,12 @@
 // The paper's sampled-candidate evaluation protocol (Table VI).
 //
-// IR: each qualifying test user gets 1 positive item (a test-month purchase)
-// plus `num_negatives` items sampled from the item pool; the model ranks the
-// candidates and Recall/NDCG@top_n is recorded.
-// UT is symmetric: each qualifying test item gets 1 positive user plus
-// sampled negative users from the user pool (users represented by their
-// training-time pseudo-user history).
+// IR and UT are one test with the roles of users and items swapped. An
+// EvalCase pairs an anchor with one positive candidate (a test-month
+// partner) and `num_negatives` candidates sampled from the candidate pool;
+// the model ranks the candidates against the anchor and Recall/NDCG@top_n
+// is recorded. IR anchors are users and their candidates items; UT anchors
+// are items and their candidates users (represented by their training-time
+// pseudo-user history).
 //
 // Qualification follows the paper's filtering: pools contain users/items
 // with at least `min_*_interactions` training interactions.
@@ -28,17 +29,15 @@ struct ProtocolConfig {
   uint64_t seed = 123;
 };
 
-struct IrCase {
-  data::UserId user = 0;
-  data::ItemId positive = 0;
-  /// Sampled negative item ids (positive excluded).
-  std::vector<data::ItemId> negatives;
-};
-
-struct UtCase {
-  data::ItemId item = 0;
-  data::UserId positive_user = 0;
-  std::vector<data::UserId> negative_users;
+/// One ranking task: `positive` and `negatives` are candidate ids scored
+/// against `anchor`. IR cases hold a UserId anchor and ItemId candidates,
+/// UT cases the reverse (both are int64_t).
+struct EvalCase {
+  int64_t anchor = 0;
+  int64_t positive = 0;
+  /// Sampled from the candidate pool, excluding the anchor's test-month
+  /// partners.
+  std::vector<int64_t> negatives;
 };
 
 class EvalProtocol {
@@ -47,16 +46,18 @@ class EvalProtocol {
   static EvalProtocol Build(const data::DatasetSplits& splits,
                             const ProtocolConfig& config);
 
-  const std::vector<IrCase>& ir_cases() const { return ir_cases_; }
-  const std::vector<UtCase>& ut_cases() const { return ut_cases_; }
+  /// One case per qualifying test user: anchor = user, candidates = items.
+  const std::vector<EvalCase>& ir_cases() const { return ir_cases_; }
+  /// One case per qualifying test item: anchor = item, candidates = users.
+  const std::vector<EvalCase>& ut_cases() const { return ut_cases_; }
   const std::vector<data::ItemId>& item_pool() const { return item_pool_; }
   const std::vector<data::UserId>& user_pool() const { return user_pool_; }
   const ProtocolConfig& config() const { return config_; }
 
  private:
   ProtocolConfig config_;
-  std::vector<IrCase> ir_cases_;
-  std::vector<UtCase> ut_cases_;
+  std::vector<EvalCase> ir_cases_;
+  std::vector<EvalCase> ut_cases_;
   std::vector<data::ItemId> item_pool_;
   std::vector<data::UserId> user_pool_;
 };

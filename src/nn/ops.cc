@@ -144,18 +144,6 @@ Variable Relu(const Variable& a) {
       [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }, "Relu");
 }
 
-Variable Exp(const Variable& a) {
-  return UnaryElementwise(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; }, "Exp");
-}
-
-Variable Log(const Variable& a) {
-  return UnaryElementwise(
-      a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; }, "Log");
-}
-
 Variable Sum(const Variable& a) {
   Tensor out = Tensor::Scalar(static_cast<float>(a.value().Sum()));
   return MakeOpVariable(
@@ -230,28 +218,6 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
         b.node()->AccumulateGrad(std::move(gb));
       },
       "ConcatCols");
-}
-
-Variable ConcatRows(const Variable& a, const Variable& b) {
-  UM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1), a, b)
-      << "ConcatRows";
-  const int64_t m1 = a.dim(0), m2 = b.dim(0), n = a.dim(1);
-  Tensor out = Tensor::Empty({m1 + m2, n});
-  std::copy(a.value().data(), a.value().data() + m1 * n, out.data());
-  std::copy(b.value().data(), b.value().data() + m2 * n,
-            out.data() + m1 * n);
-  return MakeOpVariable(
-      std::move(out), {a, b},
-      [a, b, m1, m2, n](VarNode& node) {
-        Tensor ga = Tensor::Empty(a.shape());
-        Tensor gb = Tensor::Empty(b.shape());
-        std::copy(node.grad.data(), node.grad.data() + m1 * n, ga.data());
-        std::copy(node.grad.data() + m1 * n,
-                  node.grad.data() + (m1 + m2) * n, gb.data());
-        a.node()->AccumulateGrad(std::move(ga));
-        b.node()->AccumulateGrad(std::move(gb));
-      },
-      "ConcatRows");
 }
 
 Variable MatMul(const Variable& a, const Variable& b, bool trans_a,

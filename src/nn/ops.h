@@ -24,9 +24,6 @@ Variable ScalarAdd(const Variable& a, float s);
 Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Relu(const Variable& a);
-Variable Exp(const Variable& a);
-/// Natural log; inputs must be positive.
-Variable Log(const Variable& a);
 
 /// ----- reductions -----
 Variable Sum(const Variable& a);   // -> scalar
@@ -38,8 +35,6 @@ Variable Reshape(const Variable& a, Shape shape);
 Variable Transpose(const Variable& a);
 /// Concatenate two matrices along columns: [m, n1] ++ [m, n2] -> [m, n1+n2].
 Variable ConcatCols(const Variable& a, const Variable& b);
-/// Concatenate two matrices along rows: [m1, n] ++ [m2, n] -> [m1+m2, n].
-Variable ConcatRows(const Variable& a, const Variable& b);
 
 /// ----- linear algebra -----
 /// op(a) x op(b) for 2-D tensors.

@@ -170,17 +170,6 @@ const Histogram* MetricRegistry::FindHistogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : it->second.metric.get();
 }
 
-std::vector<std::string> MetricRegistry::MetricNames() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, entry] : counters_) names.push_back(name);
-  for (const auto& [name, entry] : gauges_) names.push_back(name);
-  for (const auto& [name, entry] : histograms_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 std::vector<std::string> MetricRegistry::CounterNames() const {
   MutexLock lock(&mu_);
   std::vector<std::string> names;
@@ -228,26 +217,6 @@ void MetricRegistry::ResetAll() {
 
 void MetricRegistry::DumpJson(std::ostream& os) const {
   WriteSnapshotJson(TakeSnapshot(*this), os);
-}
-
-void MetricRegistry::DumpText(std::ostream& os) const {
-  const MetricsSnapshot snap = TakeSnapshot(*this);
-  for (const auto& [name, value] : snap.counters) {
-    os << name << " counter " << value;
-    if (const std::string unit = UnitOf(name); !unit.empty()) os << " " << unit;
-    os << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    os << name << " gauge " << value;
-    if (const std::string unit = UnitOf(name); !unit.empty()) os << " " << unit;
-    os << "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    os << name << " histogram count=" << h.count << " sum=" << h.sum
-       << " p50=" << h.p50 << " p99=" << h.p99;
-    if (const std::string unit = UnitOf(name); !unit.empty()) os << " " << unit;
-    os << "\n";
-  }
 }
 
 }  // namespace unimatch::obs

@@ -124,8 +124,6 @@ class MetricRegistry {
   const Histogram* FindHistogram(const std::string& name) const
       UM_EXCLUDES(mu_);
 
-  /// All registered names (sorted), across the three metric kinds.
-  std::vector<std::string> MetricNames() const UM_EXCLUDES(mu_);
   std::vector<std::string> CounterNames() const UM_EXCLUDES(mu_);
   std::vector<std::string> GaugeNames() const UM_EXCLUDES(mu_);
   std::vector<std::string> HistogramNames() const UM_EXCLUDES(mu_);
@@ -138,8 +136,6 @@ class MetricRegistry {
 
   /// Serializes every metric. See docs/OBSERVABILITY.md for the schema.
   void DumpJson(std::ostream& os) const;
-  /// One metric per line: `name type value [unit]` — for eyeballing.
-  void DumpText(std::ostream& os) const;
 
  private:
   template <typename M>

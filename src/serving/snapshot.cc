@@ -83,26 +83,17 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::Make(
 }
 
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEngine(
-    const core::UniMatchEngine& engine, int64_t version,
-    SnapshotOptions options) {
+    const core::UniMatchEngine& engine, int64_t version) {
   if (!engine.fitted()) {
     return Status::FailedPrecondition("cannot snapshot an unfitted engine");
   }
   UM_SCOPED_TIMER("serving.frontend.snapshot.build.ms");
   // The generation's f32 tables alias refcounted Storage, so a later
   // refresh replaces the engine's snapshot without touching these buffers.
-  // Quantized storage copies into fresh code buffers and never retains the
-  // floats.
   const EngineSnapshot& generation = *engine.snapshot();
-  const auto table = [&](const QuantizedMatrix& f32) {
-    return options.table_storage == ScalarType::kF32
-               ? f32
-               : QuantizedMatrix::Quantize(f32.Dequantize(),
-                                           options.table_storage);
-  };
-  return Make(version, table(generation.user_table_),
-              table(generation.item_table_), generation.servable_,
-              generation.item_index_, generation.user_index_);
+  return Make(version, generation.user_table_, generation.item_table_,
+              generation.servable_, generation.item_index_,
+              generation.user_index_);
 }
 
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::FromEmbeddings(

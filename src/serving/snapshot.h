@@ -33,9 +33,7 @@
 
 namespace unimatch::serving {
 
-/// Build-time knobs for a snapshot. Defaults reproduce the pre-quantization
-/// behavior exactly (float32 tables, brute-force / engine-configured
-/// indexes).
+/// Build-time knobs for FromEmbeddings. The default keeps float32 tables.
 struct SnapshotOptions {
   /// Element type of the frozen embedding tables (src/tensor/quant.h).
   /// kF16/kI8 cut the per-user memory bill 2x/~3-4x; query rows are
@@ -52,15 +50,14 @@ struct SnapshotOptions {
 /// via FromEngine / FromEmbeddings; always held as shared_ptr<const>.
 class EngineSnapshot {
  public:
-  /// Snapshots a fitted engine's current generation. kF32 shares all of
-  /// it (tables, servable flags, indexes); other storage types quantize
-  /// the tables and share the rest. Either way no index is built: a later
-  /// refresh replaces the engine's generation rather than mutating it.
-  /// `version` is the promotion counter (e.g. the training month); it only
-  /// feeds observability.
+  /// Snapshots a fitted engine's current generation by sharing all of it
+  /// (float tables, servable flags, indexes): no table is copied and no
+  /// index is built, and a later refresh replaces the engine's generation
+  /// rather than mutating it. `version` is the promotion counter (e.g. the
+  /// training month); it only feeds observability. Quantized tables come
+  /// from FromEmbeddings, which builds indexes over the stored codes.
   static Result<std::shared_ptr<const EngineSnapshot>> FromEngine(
-      const core::UniMatchEngine& engine, int64_t version,
-      SnapshotOptions options = {});
+      const core::UniMatchEngine& engine, int64_t version);
 
   /// Builds a snapshot directly from embedding matrices ([M, d] users,
   /// [K, d] items, both non-empty) — the hand-off path for embeddings

@@ -118,8 +118,6 @@ Storage::Impl::~Impl() {
     case Mode::kUnpooled:
       AlignedFree(data);
       break;
-    case Mode::kBorrowed:
-      break;
   }
 }
 
@@ -137,16 +135,6 @@ Storage Storage::AllocateUnpooled(int64_t n) {
   impl->data = AlignedAlloc(n > 0 ? n : 1);
   impl->capacity = n;
   impl->mode = Mode::kUnpooled;
-  return Storage(std::move(impl), 0, n);
-}
-
-Storage Storage::Borrow(float* data, int64_t n) {
-  UM_CHECK_GE(n, 0);
-  UM_CHECK(n == 0 || data != nullptr);
-  auto impl = std::make_shared<Impl>();
-  impl->data = data;
-  impl->capacity = n;
-  impl->mode = Mode::kBorrowed;
   return Storage(std::move(impl), 0, n);
 }
 

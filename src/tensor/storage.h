@@ -11,8 +11,7 @@
 //  * Lifetime: Storage is a refcounted value type; copies alias the same
 //    underlying buffer. Long-lived parameters opt out of pooling with
 //    AllocateUnpooled (their buffers would otherwise pin pool size classes
-//    forever), and Borrow wraps caller-owned memory without taking
-//    ownership (the caller must outlive every borrowed handle).
+//    forever).
 //  * Addressing: a Storage carries an (offset, size) window into its
 //    buffer, so zero-copy views (Tensor::Row / Slice) are just new handles
 //    with a different window. SharesBufferWith compares buffers, not
@@ -111,9 +110,6 @@ class Storage {
   /// `n` floats straight from the heap; freed (not pooled) on release.
   /// For long-lived parameters that would otherwise pin pool classes.
   static Storage AllocateUnpooled(int64_t n);
-  /// Non-owning view over caller-owned memory. The pointee must outlive
-  /// every handle (and every Tensor) derived from this Storage.
-  static Storage Borrow(float* data, int64_t n);
 
   /// Narrowed window into the same buffer: `n` floats starting `offset`
   /// floats into this window. Shares (and extends the lifetime of) the
@@ -135,12 +131,12 @@ class Storage {
   bool unique() const { return impl_ != nullptr && impl_.use_count() == 1; }
 
  private:
-  enum class Mode { kPooled, kUnpooled, kBorrowed };
+  enum class Mode { kPooled, kUnpooled };
 
   struct Impl {
     float* data = nullptr;
     int64_t capacity = 0;  ///< size class (pooled) or exact size (unpooled)
-    Mode mode = Mode::kBorrowed;
+    Mode mode = Mode::kPooled;
     ~Impl();
   };
 

@@ -63,14 +63,6 @@ Tensor Tensor::ZerosUnpooled(Shape shape) {
   return t;
 }
 
-Tensor Tensor::FromExternal(float* data, Shape shape) {
-  Tensor t{NoAllocTag{}};
-  t.shape_ = std::move(shape);
-  t.numel_ = ShapeNumel(t.shape_);
-  t.storage_ = Storage::Borrow(data, t.numel_);
-  return t;
-}
-
 Tensor Tensor::Full(Shape shape, float value) {
   Tensor t = Empty(std::move(shape));
   t.Fill(value);

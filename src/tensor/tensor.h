@@ -13,12 +13,10 @@
 //   t.Reshaped(shape)   same elements, different shape
 //   t.Row(i)            row i of a rank>=2 tensor (drops the leading dim)
 //   t.Slice(b, e)       rows [b, e) along the leading dim
-//   Tensor::FromExternal(ptr, shape)   borrowed view of caller-owned memory
 //
 // Views alias the parent's buffer — shares_storage() is true between any
-// two of them — and keep it alive (except FromExternal, which borrows and
-// must not outlive the pointee). Tensor::Empty skips the zero-fill of the
-// ordinary constructor; use it only when every element is overwritten
+// two of them — and keep it alive. Tensor::Empty skips the zero-fill of
+// the ordinary constructor; use it only when every element is overwritten
 // before being read.
 //
 // Supported ranks are 0..3, which covers everything the two-tower model
@@ -77,9 +75,6 @@ class Tensor {
   static Tensor Randn(Shape shape, float stddev, Rng* rng);
   /// i.i.d. U[lo, hi) entries.
   static Tensor Uniform(Shape shape, float lo, float hi, Rng* rng);
-  /// Borrowed, non-owning view of caller-owned memory (no copy, no free).
-  /// The pointee must outlive the returned tensor and every view of it.
-  static Tensor FromExternal(float* data, Shape shape);
 
   /// ----- shape accessors -----
   const Shape& shape() const { return shape_; }

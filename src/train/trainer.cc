@@ -133,7 +133,8 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
   UM_SCOPED_TIMER("train.epoch.ms");
   UM_COUNTER_INC("train.epochs");
   const int max_len = splits_->config.window.max_seq_len;
-  const bool multinomial = loss::IsMultinomialLoss(config_.loss);
+  const bool bce = config_.loss == loss::LossKind::kBce;
+  const bool ssm = config_.loss == loss::LossKind::kSsm;
   [[maybe_unused]] const int64_t records_before = records_processed_;
   double loss_sum = 0.0;
   int64_t loss_count = 0;
@@ -148,125 +149,93 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
   if (parallel) {
     UM_GAUGE_SET("train.pipeline.threads", config_.num_threads);
   }
+  if (bce) EnsureBceSampler();
+  if (ssm) EnsureSsmSampler();
 
-  if (multinomial) {
-    data::BatchIterator it(&splits_->train, &splits_->train_marginals,
-                           indices, config_.batch_size, max_len, &rng_);
-    data::Batch batch;
-    if (config_.loss == loss::LossKind::kSsm) EnsureSsmSampler();
-    // Per-step workspace, reused across every step of the epoch: steady
-    // state allocates nothing here (the last, smaller batch reshapes once).
-    std::vector<int64_t> neg_ids(config_.ssm_num_negatives);
-    Tensor log_q_neg = Tensor::Empty({config_.ssm_num_negatives});
-    Tensor log_q_pos;
-    // BatchIterator::Next is RNG-free (the shuffle happens in Reset), so
-    // prefetching it on a background thread cannot perturb the training
-    // RNG stream. Gated on `parallel` so num_threads = 1 starts no thread.
-    std::unique_ptr<data::BatchPrefetcher> prefetch;
-    if (parallel) {
-      prefetch = std::make_unique<data::BatchPrefetcher>(
-          [&it](data::Batch* b, Tensor* /*labels*/) { return it.Next(b); });
-    }
-    const bool ssm = config_.loss == loss::LossKind::kSsm;
-    const int s = config_.ssm_num_negatives;
-    while (prefetch ? prefetch->Next(&batch) : it.Next(&batch)) {
-      UM_SCOPED_TIMER("train.step.ms");
-      nn::Variable users =
-          model_->EncodeUsers(batch.history_ids, batch.lengths, &rng_);
-      nn::Variable items = model_->EncodeItems(batch.targets);
-      nn::Variable loss_var;
-      if (ssm) {
-        for (int k = 0; k < s; ++k) {
-          const int64_t slot = ssm_sampler_.Sample(&rng_);
-          neg_ids[k] = ssm_items_[slot];
-          log_q_neg.at(k) = ssm_log_q_[slot];
-        }
-        if (log_q_pos.numel() != batch.batch_size || log_q_pos.rank() != 1) {
-          log_q_pos = Tensor::Empty({batch.batch_size});
-        }
-        for (int64_t r = 0; r < batch.batch_size; ++r) {
-          // The positive's proposal probability under the unigram q is its
-          // empirical marginal.
-          log_q_pos.at(r) = batch.log_pi.at(r);
-        }
-        nn::Variable neg_items = model_->EncodeItems(neg_ids);
-        nn::Variable pos_scores = model_->ScorePairs(users, items);
-        nn::Variable neg_scores = model_->ScoreMatrix(users, neg_items);
-        loss_var = loss::SampledSoftmaxLoss(pos_scores, neg_scores, log_q_pos,
-                                            log_q_neg);
-        records_processed_ += batch.batch_size + s;
-      } else {
-        nn::Variable scores = model_->ScoreMatrix(users, items);
-        loss_var = loss::NceFamilyLoss(scores, batch.log_pu, batch.log_pi,
-                                       loss::SettingsFor(config_.loss));
-        records_processed_ += batch.batch_size;
-      }
-      UM_CHECK_FINITE(loss_var.value())
-          << loss::LossKindToString(config_.loss) << " loss at step "
-          << total_steps_;
-      nn::Backward(loss_var);
-      if (config_.grad_clip > 0.0f) {
-        optimizer_->ClipGradNorm(config_.grad_clip);
-      }
-      optimizer_->Step();
-      optimizer_->ZeroGrad();
-      loss_sum += loss_var.value().item();
-      ++loss_count;
-      ++total_steps_;
-    }
-  } else {
-    EnsureBceSampler();
-    // Iterate positive indices in shuffled batches; each batch is doubled
-    // with freshly drawn negatives (1:1 per the paper).
-    std::vector<int64_t> shuffled = indices;
-    rng_.Shuffle(&shuffled);
-    std::vector<int64_t> idx;  // per-step workspace, reused across steps
-    idx.reserve(config_.batch_size);
-    size_t begin = 0;
-    auto produce_next = [&](data::Batch* b, Tensor* labels) -> bool {
-      if (begin >= shuffled.size()) return false;
-      const size_t end =
-          std::min(shuffled.size(), begin + config_.batch_size);
-      if (end - begin < 2) return false;
-      idx.assign(shuffled.begin() + begin, shuffled.begin() + end);
-      begin = end;
-      data::AssembleBceBatchInto(splits_->train, idx,
+  // One shuffled pass over the indices; the shuffle is the iterator's only
+  // draw from rng_.
+  data::BatchIterator it(&splits_->train, &splits_->train_marginals, indices,
+                         config_.batch_size, max_len, &rng_);
+  // BCE doubles each chunk with freshly drawn negatives (1:1 per the
+  // paper) and labels the rows; the in-batch losses take the chunk as is.
+  auto produce = [&](data::Batch* b, Tensor* labels) {
+    if (!it.NextChunk()) return false;
+    if (bce) {
+      data::AssembleBceBatchInto(splits_->train, it.chunk(),
                                  splits_->train_marginals, max_len,
                                  *bce_sampler_, &rng_, b, labels);
-      return true;
-    };
-    // The producer draws negatives from rng_, so it may only run on a
-    // background thread when the consuming step leaves rng_ alone — i.e.
-    // when dropout is off (dropout is the only other rng_ user here).
-    const bool can_prefetch =
-        parallel && model_->config().dropout == 0.0f;
-    std::unique_ptr<data::BatchPrefetcher> prefetch;
-    if (can_prefetch) {
-      prefetch = std::make_unique<data::BatchPrefetcher>(produce_next);
+    } else {
+      data::AssembleBatchInto(splits_->train, it.chunk(),
+                              splits_->train_marginals, max_len, b);
     }
-    data::Batch batch;
-    Tensor labels;
-    while (prefetch ? prefetch->Next(&batch, &labels)
-                    : produce_next(&batch, &labels)) {
-      UM_SCOPED_TIMER("train.step.ms");
-      nn::Variable users =
-          model_->EncodeUsers(batch.history_ids, batch.lengths, &rng_);
-      nn::Variable items = model_->EncodeItems(batch.targets);
-      nn::Variable scores = model_->ScorePairs(users, items);
-      nn::Variable loss_var = loss::BceLoss(scores, labels);
-      UM_CHECK_FINITE(loss_var.value())
-          << "BCE loss at step " << total_steps_;
-      nn::Backward(loss_var);
-      if (config_.grad_clip > 0.0f) {
-        optimizer_->ClipGradNorm(config_.grad_clip);
-      }
-      optimizer_->Step();
-      optimizer_->ZeroGrad();
+    return true;
+  };
+  // A prefetched batch is produced on a background thread while the step
+  // runs, so the two must not share rng_. Only BCE's producer draws from
+  // it, and only dropout draws from it in BCE's step. num_threads = 1
+  // starts no thread.
+  std::unique_ptr<data::BatchPrefetcher> prefetch;
+  if (parallel && !(bce && model_->config().dropout != 0.0f)) {
+    prefetch = std::make_unique<data::BatchPrefetcher>(produce);
+  }
+
+  // SSM's per-step workspace, reused across every step of the epoch:
+  // steady state allocates nothing here (the last, smaller batch reshapes
+  // once).
+  const int s = config_.ssm_num_negatives;
+  std::vector<int64_t> neg_ids(ssm ? s : 0);
+  Tensor log_q_neg = ssm ? Tensor::Empty({s}) : Tensor();
+  Tensor log_q_pos;
+  data::Batch batch;
+  Tensor labels;
+  while (prefetch ? prefetch->Next(&batch, &labels)
+                  : produce(&batch, &labels)) {
+    UM_SCOPED_TIMER("train.step.ms");
+    nn::Variable users =
+        model_->EncodeUsers(batch.history_ids, batch.lengths, &rng_);
+    nn::Variable items = model_->EncodeItems(batch.targets);
+    nn::Variable loss_var;
+    if (bce) {
+      loss_var = loss::BceLoss(model_->ScorePairs(users, items), labels);
       records_processed_ += batch.batch_size;
-      loss_sum += loss_var.value().item();
-      ++loss_count;
-      ++total_steps_;
+    } else if (ssm) {
+      for (int k = 0; k < s; ++k) {
+        const int64_t slot = ssm_sampler_.Sample(&rng_);
+        neg_ids[k] = ssm_items_[slot];
+        log_q_neg.at(k) = ssm_log_q_[slot];
+      }
+      if (log_q_pos.numel() != batch.batch_size || log_q_pos.rank() != 1) {
+        log_q_pos = Tensor::Empty({batch.batch_size});
+      }
+      for (int64_t r = 0; r < batch.batch_size; ++r) {
+        // The positive's proposal probability under the unigram q is its
+        // empirical marginal.
+        log_q_pos.at(r) = batch.log_pi.at(r);
+      }
+      nn::Variable neg_items = model_->EncodeItems(neg_ids);
+      nn::Variable pos_scores = model_->ScorePairs(users, items);
+      nn::Variable neg_scores = model_->ScoreMatrix(users, neg_items);
+      loss_var = loss::SampledSoftmaxLoss(pos_scores, neg_scores, log_q_pos,
+                                          log_q_neg);
+      records_processed_ += batch.batch_size + s;
+    } else {
+      nn::Variable scores = model_->ScoreMatrix(users, items);
+      loss_var = loss::NceFamilyLoss(scores, batch.log_pu, batch.log_pi,
+                                     loss::SettingsFor(config_.loss));
+      records_processed_ += batch.batch_size;
     }
+    UM_CHECK_FINITE(loss_var.value())
+        << loss::LossKindToString(config_.loss) << " loss at step "
+        << total_steps_;
+    nn::Backward(loss_var);
+    if (config_.grad_clip > 0.0f) {
+      optimizer_->ClipGradNorm(config_.grad_clip);
+    }
+    optimizer_->Step();
+    optimizer_->ZeroGrad();
+    loss_sum += loss_var.value().item();
+    ++loss_count;
+    ++total_steps_;
   }
   last_epoch_loss_ = loss_count > 0 ? loss_sum / loss_count : 0.0;
   UM_COUNTER_ADD("train.steps", loss_count);

@@ -139,7 +139,7 @@ TEST(EvaluateScorerTest, PerfectScorerScoresPerfectly) {
   // A scorer that knows the answers must reach NDCG = 1 on IR.
   std::unordered_map<data::UserId, data::ItemId> truth;
   for (const auto& c : env().protocol->ir_cases()) {
-    truth[c.user] = c.positive;
+    truth[c.anchor] = c.positive;
   }
   const auto result = env().evaluator->EvaluateScorer(
       [&](data::UserId u, data::ItemId i) {

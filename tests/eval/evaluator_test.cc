@@ -1,7 +1,6 @@
 // Equivalence tests for the parallel evaluator: per-case scoring runs on
-// the shared pool, but results must be byte-identical to a serial pass —
-// the fold into accumulators and output lists happens serially in case
-// order.
+// the shared pool, but results must be byte-identical across runs — the
+// fold into accumulators and output lists happens serially in case order.
 
 #include "src/eval/evaluator.h"
 
@@ -57,9 +56,10 @@ TEST_F(EvaluatorTest, RepeatedEvaluationsAreIdentical) {
   EXPECT_EQ(r1.ut_topn, r2.ut_topn);
 }
 
-// EvaluateScorer keeps the serial per-case loop (the callback's thread
-// safety is unknown), so feeding it the same dot products the model path
-// uses pins the parallel Evaluate to a serial reference.
+// Evaluate and EvaluateScorer share one task loop; feeding the scorer the
+// same dot products the model path computes pins Evaluate's embedding
+// bookkeeping (the needed-user slots, the IR/UT argument order) to the
+// plain score(user, item) path.
 TEST_F(EvaluatorTest, ParallelEvaluateMatchesSerialScorerPath) {
   const Evaluator evaluator(&splits_, &protocol_);
   const int64_t d = model_->config().embedding_dim;

@@ -66,13 +66,6 @@ TEST(NdcgTest, MultiplePositivesIdealNormalization) {
   EXPECT_NEAR(NdcgAtN(scores2, pos2, 3), dcg / ideal, 1e-9);
 }
 
-TEST(RankOfTest, DeterministicTieBreak) {
-  std::vector<float> scores = {0.5f, 0.5f, 0.9f};
-  EXPECT_EQ(RankOf(scores, 2), 0);
-  EXPECT_EQ(RankOf(scores, 0), 1);  // ties broken by lower index first
-  EXPECT_EQ(RankOf(scores, 1), 2);
-}
-
 TEST(TopNTest, ReturnsSortedPrefix) {
   std::vector<float> scores = {0.1f, 0.9f, 0.5f, 0.7f};
   auto top = TopN(scores, 2);

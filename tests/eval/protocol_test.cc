@@ -50,13 +50,13 @@ TEST_F(ProtocolTest, PoolsRespectMinInteractions) {
   }
 }
 
-TEST_F(ProtocolTest, IrCasesWellFormed) {
+TEST_F(ProtocolTest, IrTaskCasesWellFormed) {
   ASSERT_GT(protocol().ir_cases().size(), 20u);
   std::unordered_set<data::ItemId> pool(protocol().item_pool().begin(),
                                         protocol().item_pool().end());
   std::unordered_set<data::UserId> seen_users;
   for (const auto& c : protocol().ir_cases()) {
-    EXPECT_TRUE(seen_users.insert(c.user).second) << "duplicate user case";
+    EXPECT_TRUE(seen_users.insert(c.anchor).second) << "duplicate user case";
     EXPECT_TRUE(pool.count(c.positive));
     EXPECT_EQ(c.negatives.size(), 20u);
     for (auto n : c.negatives) {
@@ -73,8 +73,8 @@ TEST_F(ProtocolTest, IrNegativesExcludeTestPurchases) {
   }
   for (const auto& c : protocol().ir_cases()) {
     for (auto n : c.negatives) {
-      EXPECT_FALSE(bought[c.user].count(n))
-          << "negative " << n << " was bought by user " << c.user;
+      EXPECT_FALSE(bought[c.anchor].count(n))
+          << "negative " << n << " was bought by user " << c.anchor;
     }
   }
 }
@@ -85,21 +85,21 @@ TEST_F(ProtocolTest, IrPositiveIsRealTestPurchase) {
     bought[s.user].insert(s.target);
   }
   for (const auto& c : protocol().ir_cases()) {
-    EXPECT_TRUE(bought[c.user].count(c.positive));
+    EXPECT_TRUE(bought[c.anchor].count(c.positive));
   }
 }
 
-TEST_F(ProtocolTest, UtCasesWellFormed) {
+TEST_F(ProtocolTest, UtTaskCasesWellFormed) {
   ASSERT_GT(protocol().ut_cases().size(), 10u);
   std::unordered_set<data::UserId> pool(protocol().user_pool().begin(),
                                         protocol().user_pool().end());
   std::unordered_set<data::ItemId> seen_items;
   for (const auto& c : protocol().ut_cases()) {
-    EXPECT_TRUE(seen_items.insert(c.item).second) << "duplicate item case";
-    EXPECT_EQ(c.negative_users.size(), 20u);
-    for (auto u : c.negative_users) {
+    EXPECT_TRUE(seen_items.insert(c.anchor).second) << "duplicate item case";
+    EXPECT_EQ(c.negatives.size(), 20u);
+    for (auto u : c.negatives) {
       EXPECT_TRUE(pool.count(u));
-      EXPECT_NE(u, c.positive_user);
+      EXPECT_NE(u, c.positive);
     }
   }
 }
@@ -110,8 +110,8 @@ TEST_F(ProtocolTest, UtNegativesDidNotBuyItem) {
     buyers[s.target].insert(s.user);
   }
   for (const auto& c : protocol().ut_cases()) {
-    for (auto u : c.negative_users) {
-      EXPECT_FALSE(buyers[c.item].count(u));
+    for (auto u : c.negatives) {
+      EXPECT_FALSE(buyers[c.anchor].count(u));
     }
   }
 }
@@ -123,7 +123,7 @@ TEST_F(ProtocolTest, DeterministicForSeed) {
   const EvalProtocol b = EvalProtocol::Build(splits(), cfg);
   ASSERT_EQ(a.ir_cases().size(), b.ir_cases().size());
   for (size_t k = 0; k < a.ir_cases().size(); ++k) {
-    EXPECT_EQ(a.ir_cases()[k].user, b.ir_cases()[k].user);
+    EXPECT_EQ(a.ir_cases()[k].anchor, b.ir_cases()[k].anchor);
     EXPECT_EQ(a.ir_cases()[k].negatives, b.ir_cases()[k].negatives);
   }
 }

@@ -16,9 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <ios>
-#include <string>
 #include <vector>
 
 #include "src/data/synthetic.h"
@@ -28,10 +25,13 @@
 #include "src/train/trainer.h"
 #include "src/util/parallel.h"
 #include "src/util/threadpool.h"
+#include "tests/util/digest_testing.h"
 
 namespace unimatch {
 namespace {
 
+using digest_testing::Digest;
+using digest_testing::ExpectDigest;
 using kernels::Backend;
 using loss::LossKind;
 
@@ -41,34 +41,6 @@ uint64_t SplitMix(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-// FNV-1a over 64-bit words.
-class Digest {
- public:
-  void Feed(uint64_t v) {
-    for (int b = 0; b < 64; b += 8) {
-      h_ ^= (v >> b) & 0xFF;
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void Feed(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Feed(bits);
-  }
-  void Feed(const Tensor& t) {
-    Feed(static_cast<uint64_t>(t.numel()));
-    for (int64_t i = 0; i < t.numel(); ++i) {
-      uint32_t bits;
-      std::memcpy(&bits, t.data() + i, sizeof(bits));
-      Feed(static_cast<uint64_t>(bits));
-    }
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xCBF29CE484222325ULL;
-};
 
 // Element i of a hashed input. Grid values are k/8 for k in [-16, 16);
 // half of the grid's zeros are -0.0f. Fine values are 24-bit slices
@@ -256,22 +228,7 @@ constexpr TrainingCase kTrainingCases[] = {
      0x64F9DD3F267F1965ULL},
 };
 
-void ExpectDigest(uint64_t got, uint64_t recorded) {
-  EXPECT_EQ(got, recorded) << std::hex << "digest 0x" << got
-                           << ", recorded 0x" << recorded;
-}
-
-class SoftmaxDigestTest : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == Backend::kAvx2 &&
-        kernels::ActiveBackend() != Backend::kAvx2) {
-      GTEST_SKIP() << "CPU lacks AVX2/FMA";
-    }
-    kernels::SetBackendForTest(GetParam());
-  }
-  void TearDown() override { kernels::ResetBackendForTest(); }
-};
+class SoftmaxDigestTest : public digest_testing::BackendDigestTest {};
 
 TEST_P(SoftmaxDigestTest, LossesMatchRecordedBits) {
   ThreadPool pool(2);
@@ -298,17 +255,15 @@ TEST_P(SoftmaxDigestTest, TrainingMatchesRecordedBits) {
                                       << " threads");
       ExpectDigest(
           TrainingDigest(c.extractor, c.aggregator, c.kind, num_threads),
-          GetParam() == Backend::kAvx2 ? c.avx2 : c.portable);
+          ForBackend(c.portable, c.avx2));
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SoftmaxDigestTest,
-    ::testing::Values(Backend::kPortable, Backend::kAvx2),
-    [](const ::testing::TestParamInfo<Backend>& info) {
-      return std::string(kernels::BackendName(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, SoftmaxDigestTest,
+                         ::testing::Values(Backend::kPortable,
+                                           Backend::kAvx2),
+                         digest_testing::BackendParamName);
 
 }  // namespace
 }  // namespace unimatch

@@ -94,18 +94,6 @@ TEST(RegistryTest, FindUnknownReturnsNull) {
   EXPECT_EQ(reg.UnitOf("nope"), "");
 }
 
-TEST(RegistryTest, MetricNamesAcrossKinds) {
-  MetricRegistry reg;
-  reg.GetCounter("b.counter");
-  reg.GetGauge("a.gauge");
-  reg.GetHistogram("c.hist");
-  const auto names = reg.MetricNames();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "a.gauge");  // sorted
-  EXPECT_EQ(names[1], "b.counter");
-  EXPECT_EQ(names[2], "c.hist");
-}
-
 TEST(RegistryTest, ResetAllKeepsIdentities) {
   MetricRegistry reg;
   Counter* c = reg.GetCounter("r.calls");
@@ -159,19 +147,6 @@ TEST(RegistryTest, ConcurrentRegistrationIsSafe) {
   pool.Wait();
   EXPECT_FALSE(mismatch.load());
   EXPECT_EQ(reg.FindCounter("race.calls")->value(), 32);
-}
-
-TEST(RegistryTest, DumpTextMentionsEveryMetric) {
-  MetricRegistry reg;
-  reg.GetCounter("t.calls", "calls")->Add(2);
-  reg.GetGauge("t.loss")->Set(0.5);
-  reg.GetHistogram("t.ms", "ms")->Observe(1.0);
-  std::ostringstream os;
-  reg.DumpText(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("t.calls counter 2"), std::string::npos);
-  EXPECT_NE(text.find("t.loss gauge 0.5"), std::string::npos);
-  EXPECT_NE(text.find("t.ms histogram count=1"), std::string::npos);
 }
 
 #if !defined(UNIMATCH_METRICS_DISABLED)

@@ -639,40 +639,6 @@ TEST_F(EngineSnapshotFixture, MatchesEngineAnswers) {
   EXPECT_EQ((*ut_engine)[0].id, (*ut_snapshot)[0].id);
 }
 
-TEST_F(EngineSnapshotFixture, QuantizedFromEngineAgreesOnTopItems) {
-  auto f32_snap = EngineSnapshot::FromEngine(engine(), 1);
-  ASSERT_TRUE(f32_snap.ok());
-  auto i8_snap =
-      EngineSnapshot::FromEngine(engine(), 2, {ScalarType::kI8});
-  ASSERT_TRUE(i8_snap.ok()) << i8_snap.status().ToString();
-  EXPECT_EQ((*i8_snap)->table_storage(), ScalarType::kI8);
-  EXPECT_LT((*i8_snap)->table_bytes_per_user(),
-            (*f32_snap)->table_bytes_per_user());
-
-  // Trained embeddings, so scores can be near-tied: require high top-5
-  // agreement rather than identity.
-  const int kTop = 5;
-  int64_t overlap = 0, total = 0;
-  for (data::UserId user = 0; user < 20; ++user) {
-    auto exact = (*f32_snap)->RecommendItems(user, kTop);
-    auto quant = (*i8_snap)->RecommendItems(user, kTop);
-    ASSERT_EQ(exact.ok(), quant.ok()) << "user " << user;
-    if (!exact.ok()) continue;
-    for (const auto& e : *exact) {
-      for (const auto& q : *quant) {
-        if (e.id == q.id) {
-          ++overlap;
-          break;
-        }
-      }
-    }
-    total += kTop;
-  }
-  ASSERT_GT(total, 0);
-  EXPECT_GE(static_cast<double>(overlap) / static_cast<double>(total), 0.85)
-      << overlap << "/" << total;
-}
-
 TEST(EngineSnapshotRefreshTest, PublishedSnapshotSurvivesRefresh) {
   data::SyntheticConfig cfg;
   cfg.num_users = 200;

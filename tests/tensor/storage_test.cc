@@ -228,24 +228,6 @@ TEST(StorageTest, UnpooledBuffersBypassTheFreeLists) {
   EXPECT_EQ(after.bytes_pooled, before.bytes_pooled);
 }
 
-TEST(StorageTest, BorrowedStorageNeverOwns) {
-  BufferPool* pool = BufferPool::Global();
-  const BufferPool::Stats before = pool->stats();
-  alignas(64) float backing[64] = {};
-  backing[5] = 9.0f;
-  {
-    Storage s = Storage::Borrow(backing, 64);
-    EXPECT_EQ(s.data(), backing);
-    EXPECT_EQ(s.data()[5], 9.0f);
-    s.data()[6] = 4.0f;
-  }
-  // Dropping the handle must not free or pool the caller's memory.
-  EXPECT_EQ(backing[6], 4.0f);
-  const BufferPool::Stats after = pool->stats();
-  EXPECT_EQ(after.acquires, before.acquires);
-  EXPECT_EQ(after.releases, before.releases);
-}
-
 // ---- Tensor-level view/aliasing semantics over the new substrate. ----
 
 TEST(TensorViewTest, RowIsZeroCopy) {
@@ -307,17 +289,6 @@ TEST(TensorViewTest, ReshapedAliasesAndCloneDetaches) {
   EXPECT_FALSE(c.shares_storage(m));
   c.at(0) = 99.0f;
   EXPECT_EQ(m.at(0, 0), 1.0f);
-}
-
-TEST(TensorViewTest, FromExternalBorrowsWithoutOwnership) {
-  alignas(64) float raw[6] = {1, 2, 3, 4, 5, 6};
-  {
-    Tensor t = Tensor::FromExternal(raw, {2, 3});
-    EXPECT_EQ(t.data(), raw);
-    EXPECT_EQ(t.at(1, 2), 6.0f);
-    t.at(0, 0) = -1.0f;
-  }
-  EXPECT_EQ(raw[0], -1.0f);  // write went through; nothing was freed
 }
 
 TEST(TensorViewTest, EmptyAndCopyFrom) {

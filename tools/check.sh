@@ -5,7 +5,8 @@
 #      (tier1 tests matching Kernels|Hnsw — the vectorized-vs-reference
 #      suite on the optimized, runtime-dispatched build), then every tier1
 #      test in one process, which ctest's process-per-test hides state
-#      leaking between tests from
+#      leaking between tests from, then tools/run_examples.sh (every
+#      example program and the CLI's documented sequence must exit 0)
 #   3. asan-ubsan preset: configure + build + ctest -L tier1
 #   4. tsan preset:       configure + build + ctest -L tier1
 #   5. clang-threadsafety preset: clang -Wthread-safety -Werror compile of
@@ -77,6 +78,11 @@ if [[ "$RUN_RELEASE" == 1 ]]; then
     -j "$JOBS"
   stage "tier1 in one process [release]"
   build/tests/unimatch_tests '--gtest_filter=-OptimaFixture.*'
+  stage "examples [release]"
+  cmake --build --preset release -j "$JOBS" --target example_quickstart \
+    example_ann_serving example_loss_playground example_merchant_campaign \
+    example_unimatch_cli
+  tools/run_examples.sh build
 fi
 
 [[ "$RUN_ASAN" == 1 ]] && run_preset asan-ubsan
